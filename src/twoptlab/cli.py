@@ -35,7 +35,7 @@ from .layered import (
     ratio_lower_bound,
 )
 from .stochastic import Instance, make_origins, perturb
-from .tour import certify_two_optimality, run_two_opt, tour_length
+from .tour import PIVOTS, certify_two_optimality, run_two_opt, tour_length
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -274,7 +274,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--instance", required=True)
     p.add_argument("--metric", choices=["l1", "l2", "l2sq"], default="l2")
     p.add_argument("--init", choices=["random", "nn", "greedy"], default="random")
-    p.add_argument("--pivot", choices=["first", "best", "random"], default="first")
+    p.add_argument("--pivot", choices=PIVOTS, default="first")
     p.add_argument("--eps", type=float, default=1e-12)
     p.add_argument("--seed", type=int, default=None,
                    help="run seed (defaults to the instance seed)")

@@ -33,7 +33,6 @@ __all__ = [
     "as_points",
     "distance",
     "pairwise_distances",
-    "rows_to_points",
     "vec_dist",
     "delta",
     "two_change_gain",
@@ -126,24 +125,6 @@ def vec_dist(a, b, metric: Metric | str = Metric.EUCLIDEAN) -> np.ndarray:
     d = np.einsum("...k,...k->...", diff, diff)
     if m is Metric.EUCLIDEAN:
         d = np.sqrt(d)
-    return d
-
-
-def rows_to_points(sources, targets, metric: Metric | str = Metric.EUCLIDEAN) -> np.ndarray:
-    """Distances from each source point to each target point, shape (s, t).
-
-    Computed straight from coordinates; used where a full pairwise matrix
-    would be wasteful (certifying large instances).
-    """
-    m = Metric.parse(metric)
-    src = as_points(sources)
-    tgt = as_points(targets)
-    diff = src[:, None, :] - tgt[None, :, :]
-    if m is Metric.MANHATTAN:
-        return np.abs(diff).sum(axis=2)
-    d = np.einsum("ijk,ijk->ij", diff, diff)
-    if m is Metric.EUCLIDEAN:
-        np.sqrt(d, out=d)
     return d
 
 

@@ -46,6 +46,9 @@ from .stochastic import (
     perturb,
 )
 from .tour import (
+    _check_pivot,
+    _check_stopping,
+    _rule_token,
     certify_two_optimality,
     count_disjoint_linked_pairs,
     linked_pair_bound,
@@ -137,8 +140,7 @@ class SweepConfig:
             raise ValueError(f"seeds must be >= 1, got {self.seeds}")
         if self.base_seed < 0:
             raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
-        if self.eps <= 0.0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
+        _check_stopping(self.eps, self.max_iter)
         if self.experiment == "two_opt":
             if not self.n:
                 raise ValueError("two_opt sweep needs n = ...")
@@ -149,11 +151,9 @@ class SweepConfig:
             for m in self.metric:
                 Metric.parse(m)
             for pv in self.pivot:
-                if pv not in ("first", "best", "random"):
-                    raise ValueError(f"unknown pivot {pv!r}")
+                _check_pivot(pv)
             for ini in self.init:
-                if ini not in ("random", "nn", "nearest_neighbor", "greedy", "greedy_insertion"):
-                    raise ValueError(f"unknown init rule {ini!r}")
+                _rule_token(ini)
             if self.origins not in ("uniform", "grid", "single-point"):
                 raise ValueError(f"unknown origins rule {self.origins!r}")
             if self.ratio not in ("auto", "exact", "bound", "none"):

@@ -48,7 +48,7 @@ import numpy as np
 from .exact import mst_length
 from .geometry import Metric, vec_dist
 from .stochastic import Instance, perturb
-from .tour import Tour, certify_two_optimality, tour_length
+from .tour import Tour, _check_stopping, _scan, certify_two_optimality, tour_length
 
 __all__ = [
     "LayeredParams",
@@ -281,35 +281,30 @@ def _path_two_opt(pts: np.ndarray, path: list[int], eps: float) -> list[int]:
     """First-improvement 2-opt on an open path; the two end points stay fixed.
 
     ``path`` includes both anchors; reversals act on interior positions only,
-    but cuts at the anchor edges are considered.
+    but cuts at the anchor edges are considered.  This is the tour engine's
+    gain kernel over an open path (no wrap-around edge), Euclidean distances
+    from coordinates, first pivot.  After a reversal the scan resumes at the
+    same row, as the reversal may enable another cut there; a full pass with
+    no reversal certifies path-local optimality.
     """
     ids = np.asarray(path, dtype=np.int64)
-    m = ids.size
+
+    def dist(x, ys):
+        return vec_dist(x, ys, Metric.EUCLIDEAN)
+
+    row, applied = 0, False
     while True:
         p = pts[ids]
-        el = vec_dist(p[:-1], p[1:], Metric.EUCLIDEAN)
-        applied = False
-        a = 1
-        while a < m - 2:
-            bs = np.arange(a + 1, m - 1)
-            gains = (
-                el[a - 1]
-                + el[bs]
-                - vec_dist(p[a - 1], p[bs], Metric.EUCLIDEAN)
-                - vec_dist(p[a], p[bs + 1], Metric.EUCLIDEAN)
-            )
-            good = np.flatnonzero(gains > eps)
-            if good.size:
-                b = int(bs[good[0]])
-                ids[a : b + 1] = ids[a : b + 1][::-1]
-                p = pts[ids]
-                el = vec_dist(p[:-1], p[1:], Metric.EUCLIDEAN)
-                applied = True
-                continue  # rescan this row: the reversal may enable another cut
-            a += 1
-        # a full pass with no application certifies path-local optimality
-        if not applied:
-            return [int(v) for v in ids]
+        hit = _scan("first", eps, dist(p[:-1], p[1:]), p[:-1], p[1:], dist,
+                    closed=False, start=row)
+        if hit is None:
+            if not applied:
+                return [int(v) for v in ids]
+            row, applied = 0, False
+            continue
+        row, j, _ = hit
+        ids[row + 1 : j + 1] = ids[row + 1 : j + 1][::-1]
+        applied = True
 
 
 def build_long_tour(
@@ -322,7 +317,9 @@ def build_long_tour(
     The macro route is fixed by the construction; the two data-dependent
     micro-choices (padding-cluster path, coincident junction order) are made
     on the actual point coordinates, as described in the module docstring.
+    ``path_eps`` is the padding path's 2-opt threshold: finite and > 0.
     """
+    _check_stopping(path_eps)
     if perturbed is None:
         perturbed = li.unperturbed()
     if perturbed.origins.shape != li.origins.shape or not np.array_equal(

@@ -6,17 +6,24 @@ preserved.  A 2-change removes the tour edges (x1,x2) and (x3,x4) -- indices
 in tour order -- and reconnects as (x1,x3), (x2,x4), reversing the segment in
 between.  Its gain is positive when the tour gets shorter.
 
-Scans enumerate edge-position pairs (i, j) with j >= i+2, skipping the
-adjacent wrap-around pair (0, n-1), in lexicographic order:
+One gain kernel serves every scan: row i holds the gains of the pairs
+(i, j), j >= i+2, skipping the adjacent wrap-around pair (0, n-1) on a
+closed tour.  The engine reads the kernel's distances from the matrix, the
+certifier and the layered path 2-opt from coordinates; the arithmetic is the
+same, so both see bit-identical gains.  A pivot rule is a reduction over the
+rows, taken in lexicographic order:
 
 * ``first``  -- the first pair with gain > eps;
 * ``best``   -- the maximum gain, earliest pair on ties;
-* ``random`` -- uniform over all improving pairs (needs a seed).
+* ``random`` -- uniform over all improving pairs: count, then pick (needs a
+  seed).
 
 ``run_two_opt`` iterates scan+apply until no improving pair remains and
-certifies termination with a final full scan.  ``min_improvement`` computes
-the smallest positive gain over *all* ordered vertex quadruples, which upper
-bounds the number of iterations by initial_length / min_improvement.
+certifies termination with a final full scan.  eps must be finite and > 0:
+a change counts as improving when its gain is > eps.  ``min_improvement``
+computes the smallest positive gain over *all* ordered vertex quadruples,
+which upper bounds the number of iterations by initial_length /
+min_improvement.
 
 The second half implements the linked-pair taxonomy for sequences of applied
 2-changes (an edge added by one change and removed by another): pairs sharing
@@ -213,6 +220,9 @@ def tour_length(tour: Tour | Sequence[int], inst_or_points, metric: Metric | str
     return float(vec_dist(p, np.roll(p, -1, axis=0), metric).sum())
 
 
+PIVOTS = ("first", "best", "random")
+
+
 def _rule_token(rule: str) -> str:
     aliases = {
         "random": "random",
@@ -225,6 +235,24 @@ def _rule_token(rule: str) -> str:
         return aliases[rule]
     except KeyError:
         raise ValueError(f"unknown initial-tour rule {rule!r}") from None
+
+
+def _check_pivot(pivot: str) -> None:
+    if pivot not in PIVOTS:
+        raise ValueError(f"unknown pivot rule {pivot!r}")
+
+
+def _check_stopping(eps: float, max_iter: int | None = None) -> None:
+    """Reject a stopping rule that could loop forever or stop at once.
+
+    A change counts as improving when its gain is > eps, so eps must be
+    finite and > 0: eps <= 0 lets zero-gain changes cycle, and NaN makes
+    every comparison false.  max_iter, if given, must be >= 0.
+    """
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ValueError(f"eps must be finite and > 0, got {eps}")
+    if max_iter is not None and max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
 
 
 def initial_tour(
@@ -242,12 +270,16 @@ def initial_tour(
     randomness; ``seed`` may be an int or a numpy Generator.
     """
     pts = _coords(inst_or_points)
-    n = pts.shape[0]
     rule = _rule_token(rule)
+    D = None if rule == "random" else pairwise_distances(pts, metric)
+    return _start_tour(pts.shape[0], rule, seed, D)
+
+
+def _start_tour(n: int, rule: str, seed, D: np.ndarray | None) -> Tour:
+    """initial_tour for a canonical rule; D is the distance matrix (unused by "random")."""
     if rule == "random":
         rng = np.random.default_rng(seed)
         return Tour.from_order(rng.permutation(n))
-    D = pairwise_distances(pts, metric)
     if rule == "nearest_neighbor":
         visited = np.zeros(n, dtype=bool)
         order = [0]
@@ -281,78 +313,60 @@ def initial_tour(
 # ---------------------------------------------------------------------------
 # scans
 
-# Scans work on (D, order) with edge i = (order[i], order[(i+1) % n]).
-# Candidate pairs: j in [i+2, n-1], minus (0, n-1); i runs to n-3.
 
+def _scan(pivot: str, eps: float, el: np.ndarray, a, b, dist,
+          closed: bool = True, start: int = 0, rng: np.random.Generator | None = None):
+    """The pair (i, j, gain) the pivot rule picks among gains > eps, or None.
 
-def _scan_first(D: np.ndarray, order: np.ndarray, eps: float):
-    n = order.size
-    nxt = np.roll(order, -1)
-    el = D[order, nxt]
-    for i in range(n - 2):
-        hi = n if i > 0 else n - 1
-        if hi <= i + 2:
-            continue
-        js = np.arange(i + 2, hi)
-        gains = el[i] + el[js] - D[order[i], order[js]] - D[nxt[i], nxt[js]]
-        good = np.flatnonzero(gains > eps)
-        if good.size:
-            k = int(good[0])
-            return i, int(js[k]), float(gains[k])
-    return None
+    Edge k runs from a[k] to b[k] and has length el[k]; dist(x, ys) gives the
+    distances from one endpoint x to the endpoints ys.  Row i of the kernel
+    holds the gains of the pairs (i, j), i+2 <= j < len(el); on a closed tour
+    the adjacent pair (0, last) is left out.  Rows before ``start`` are not
+    scanned.
+    """
+    m = el.size
+    rows = range(start, m - 2)
 
+    def gains(i: int) -> np.ndarray:
+        hi = m - 1 if closed and i == 0 else m
+        return el[i] + el[i + 2 : hi] - dist(a[i], a[i + 2 : hi]) - dist(b[i], b[i + 2 : hi])
 
-def _scan_best(D: np.ndarray, order: np.ndarray, eps: float):
-    n = order.size
-    nxt = np.roll(order, -1)
-    el = D[order, nxt]
-    best = None
-    for i in range(n - 2):
-        hi = n if i > 0 else n - 1
-        if hi <= i + 2:
-            continue
-        js = np.arange(i + 2, hi)
-        gains = el[i] + el[js] - D[order[i], order[js]] - D[nxt[i], nxt[js]]
-        k = int(np.argmax(gains))
-        g = float(gains[k])
-        if g > eps and (best is None or g > best[2]):
-            best = (i, int(js[k]), g)
-    return best
-
-
-def _scan_random(D: np.ndarray, order: np.ndarray, eps: float, rng: np.random.Generator):
-    n = order.size
-    nxt = np.roll(order, -1)
-    el = D[order, nxt]
-
-    def row_gains(i):
-        hi = n if i > 0 else n - 1
-        if hi <= i + 2:
-            return None, None
-        js = np.arange(i + 2, hi)
-        return js, el[i] + el[js] - D[order[i], order[js]] - D[nxt[i], nxt[js]]
-
-    counts = np.zeros(n - 2, dtype=np.int64) if n > 2 else np.zeros(0, dtype=np.int64)
-    for i in range(n - 2):
-        js, gains = row_gains(i)
-        if js is not None:
-            counts[i] = int(np.count_nonzero(gains > eps))
-    total = int(counts.sum())
+    if pivot == "first":
+        for i in rows:
+            g = gains(i)
+            good = np.flatnonzero(g > eps)
+            if good.size:
+                k = int(good[0])
+                return i, i + 2 + k, float(g[k])
+        return None
+    if pivot == "best":
+        best = None
+        for i in rows:
+            g = gains(i)
+            if g.size:
+                k = int(np.argmax(g))
+                gk = float(g[k])
+                if gk > eps and (best is None or gk > best[2]):
+                    best = (i, i + 2 + k, gk)
+        return best
+    counts = [int(np.count_nonzero(gains(i) > eps)) for i in rows]
+    total = sum(counts)
     if total == 0:
         return None
     r = int(rng.integers(total))
-    for i in range(n - 2):
-        if r >= counts[i]:
-            r -= int(counts[i])
-            continue
-        js, gains = row_gains(i)
-        good = np.flatnonzero(gains > eps)
-        k = int(good[r])
-        return i, int(js[k]), float(gains[k])
+    for i, count in zip(rows, counts):
+        if r < count:
+            g = gains(i)
+            k = int(np.flatnonzero(g > eps)[r])
+            return i, i + 2 + k, float(g[k])
+        r -= count
     raise AssertionError("unreachable: improving-pair index out of range")
 
 
-_SCANS = {"first": _scan_first, "best": _scan_best}
+def _scan_tour(D: np.ndarray, order: np.ndarray, pivot: str, eps: float, rng=None):
+    """_scan over the closed tour ``order``, distances read from the matrix D."""
+    nxt = np.roll(order, -1)
+    return _scan(pivot, eps, D[order, nxt], order, nxt, lambda x, ys: D[x][ys], rng=rng)
 
 
 def _make_change(order: np.ndarray, i: int, j: int, gain: float) -> TwoChange:
@@ -384,19 +398,13 @@ def find_improving(
     seed: int | np.random.Generator | None = None,
 ) -> TwoChange | None:
     """Search the tour for an improving 2-change under the pivot rule."""
-    pts = _coords(inst_or_points)
-    D = pairwise_distances(pts, metric)
-    order = tour.order
-    if pivot in _SCANS:
-        hit = _SCANS[pivot](D, order, eps)
-    elif pivot == "random":
-        rng = np.random.default_rng(seed)
-        hit = _scan_random(D, order, eps, rng)
-    else:
-        raise ValueError(f"unknown pivot rule {pivot!r}")
+    _check_pivot(pivot)
+    _check_stopping(eps)
+    D = pairwise_distances(_coords(inst_or_points), metric)
+    hit = _scan_tour(D, tour.order, pivot, eps, np.random.default_rng(seed))
     if hit is None:
         return None
-    return _make_change(order, *hit)
+    return _make_change(tour.order, *hit)
 
 
 def apply_two_change(tour: Tour, change: TwoChange) -> Tour:
@@ -458,14 +466,14 @@ def run_two_opt(
     run ends when a full scan finds no pair with gain > eps (converged=True)
     or when max_iter changes have been applied (converged=False).
     """
-    if pivot not in ("first", "best", "random"):
-        raise ValueError(f"unknown pivot rule {pivot!r}")
+    _check_pivot(pivot)
+    rule = _rule_token(init)
+    _check_stopping(eps, max_iter)
     pts = _coords(inst_or_points)
     n = pts.shape[0]
     rng = np.random.default_rng(seed)
-    start = initial_tour(pts, metric, _rule_token(init), rng)
     D = pairwise_distances(pts, metric)
-    order = start.order.copy()
+    order = _start_tour(n, rule, rng, D).order.copy()
     initial_length = float(D[order, np.roll(order, -1)].sum())
 
     changes: list[TwoChange] = []
@@ -473,10 +481,7 @@ def run_two_opt(
     min_gain: float | None = None
     converged = False
     while True:
-        if pivot == "random":
-            hit = _scan_random(D, order, eps, rng)
-        else:
-            hit = _SCANS[pivot](D, order, eps)
+        hit = _scan_tour(D, order, pivot, eps, rng)
         if hit is None:
             converged = True
             break
@@ -496,7 +501,7 @@ def run_two_opt(
         seed=int(seed),
         metric=Metric.parse(metric).value,
         pivot=pivot,
-        init=_rule_token(init),
+        init=rule,
         n=n,
         eps=eps,
         initial_length=initial_length,
@@ -520,30 +525,15 @@ def certify_two_optimality(
     Works directly from coordinates (no n x n matrix), so it stays cheap and
     bit-accurate on large, nearly-degenerate instances.
     """
+    _check_stopping(eps)
     pts = _coords(inst_or_points)
     order = tour.order if isinstance(tour, Tour) else np.asarray(tour, dtype=np.int64)
-    n = order.size
     p = pts[order]
     pn = np.roll(p, -1, axis=0)
-    el = vec_dist(p, pn, metric)
-    worst: tuple[float, int, int] | None = None
-    for i in range(n - 2):
-        hi = n if i > 0 else n - 1
-        if hi <= i + 2:
-            continue
-        gains = (
-            el[i]
-            + el[i + 2 : hi]
-            - vec_dist(p[i], p[i + 2 : hi], metric)
-            - vec_dist(pn[i], pn[i + 2 : hi], metric)
-        )
-        k = int(np.argmax(gains))
-        g = float(gains[k])
-        if g > eps and (worst is None or g > worst[0]):
-            worst = (g, i, i + 2 + k)
+    worst = _scan("best", eps, vec_dist(p, pn, metric), p, pn, lambda x, ys: vec_dist(x, ys, metric))
     if worst is None:
         return None
-    g, i, j = worst
+    i, j, g = worst
     change = _make_change(order, i, j, g)
     return Violation(i=i, j=j, removed=change.removed, added=change.added, gain=g)
 

@@ -1,0 +1,168 @@
+"""Reference 2-opt scan loops, kept for tests only.
+
+One hand-written loop per caller: the engine's three pivot rules, the
+certifier and the layered path 2-opt, each computing the 2-change gain on
+its own.  The package replaced them with one shared kernel; test_scan_kernel
+checks that the kernel gives the same (i, j, gain) sequences, the same
+certifier verdicts and the same tours as these loops.
+"""
+
+import numpy as np
+
+from twoptlab.geometry import Metric, pairwise_distances, vec_dist
+from twoptlab.tour import Tour, _make_change, _reverse_segment, initial_tour
+
+# Scans work on (D, order) with edge i = (order[i], order[(i+1) % n]).
+# Candidate pairs: j in [i+2, n-1], minus (0, n-1); i runs to n-3.
+
+
+def _scan_first(D: np.ndarray, order: np.ndarray, eps: float):
+    n = order.size
+    nxt = np.roll(order, -1)
+    el = D[order, nxt]
+    for i in range(n - 2):
+        hi = n if i > 0 else n - 1
+        if hi <= i + 2:
+            continue
+        js = np.arange(i + 2, hi)
+        gains = el[i] + el[js] - D[order[i], order[js]] - D[nxt[i], nxt[js]]
+        good = np.flatnonzero(gains > eps)
+        if good.size:
+            k = int(good[0])
+            return i, int(js[k]), float(gains[k])
+    return None
+
+
+def _scan_best(D: np.ndarray, order: np.ndarray, eps: float):
+    n = order.size
+    nxt = np.roll(order, -1)
+    el = D[order, nxt]
+    best = None
+    for i in range(n - 2):
+        hi = n if i > 0 else n - 1
+        if hi <= i + 2:
+            continue
+        js = np.arange(i + 2, hi)
+        gains = el[i] + el[js] - D[order[i], order[js]] - D[nxt[i], nxt[js]]
+        k = int(np.argmax(gains))
+        g = float(gains[k])
+        if g > eps and (best is None or g > best[2]):
+            best = (i, int(js[k]), g)
+    return best
+
+
+def _scan_random(D: np.ndarray, order: np.ndarray, eps: float, rng: np.random.Generator):
+    n = order.size
+    nxt = np.roll(order, -1)
+    el = D[order, nxt]
+
+    def row_gains(i):
+        hi = n if i > 0 else n - 1
+        if hi <= i + 2:
+            return None, None
+        js = np.arange(i + 2, hi)
+        return js, el[i] + el[js] - D[order[i], order[js]] - D[nxt[i], nxt[js]]
+
+    counts = np.zeros(n - 2, dtype=np.int64) if n > 2 else np.zeros(0, dtype=np.int64)
+    for i in range(n - 2):
+        js, gains = row_gains(i)
+        if js is not None:
+            counts[i] = int(np.count_nonzero(gains > eps))
+    total = int(counts.sum())
+    if total == 0:
+        return None
+    r = int(rng.integers(total))
+    for i in range(n - 2):
+        if r >= counts[i]:
+            r -= int(counts[i])
+            continue
+        js, gains = row_gains(i)
+        good = np.flatnonzero(gains > eps)
+        k = int(good[r])
+        return i, int(js[k]), float(gains[k])
+    raise AssertionError("unreachable: improving-pair index out of range")
+
+
+def scan(D, order, pivot, eps, rng=None):
+    """The reference scan for one pivot rule."""
+    if pivot == "random":
+        return _scan_random(D, order, eps, rng)
+    return {"first": _scan_first, "best": _scan_best}[pivot](D, order, eps)
+
+
+def run_two_opt(pts, metric, init, pivot, eps, seed):
+    """The scan-and-apply loop of run_two_opt over the reference scans.
+
+    Returns (changes, final canonical order).
+    """
+    rng = np.random.default_rng(seed)
+    start = initial_tour(pts, metric, init, rng)
+    D = pairwise_distances(pts, metric)
+    order = start.order.copy()
+    changes = []
+    while True:
+        hit = scan(D, order, pivot, eps, rng)
+        if hit is None:
+            break
+        changes.append(_make_change(order, *hit))
+        order = _reverse_segment(order, *hit[:2])
+    return changes, Tour.from_order(order).order
+
+
+def certify_scan(pts, order, metric, eps):
+    """The certifier's loop: the maximum-gain pair (gain, i, j), or None."""
+    n = order.size
+    p = pts[order]
+    pn = np.roll(p, -1, axis=0)
+    el = vec_dist(p, pn, metric)
+    worst = None
+    for i in range(n - 2):
+        hi = n if i > 0 else n - 1
+        if hi <= i + 2:
+            continue
+        gains = (
+            el[i]
+            + el[i + 2 : hi]
+            - vec_dist(p[i], p[i + 2 : hi], metric)
+            - vec_dist(pn[i], pn[i + 2 : hi], metric)
+        )
+        k = int(np.argmax(gains))
+        g = float(gains[k])
+        if g > eps and (worst is None or g > worst[0]):
+            worst = (g, i, i + 2 + k)
+    return worst
+
+
+def _path_two_opt(pts: np.ndarray, path: list[int], eps: float) -> list[int]:
+    """First-improvement 2-opt on an open path; the two end points stay fixed.
+
+    ``path`` includes both anchors; reversals act on interior positions only,
+    but cuts at the anchor edges are considered.
+    """
+    ids = np.asarray(path, dtype=np.int64)
+    m = ids.size
+    while True:
+        p = pts[ids]
+        el = vec_dist(p[:-1], p[1:], Metric.EUCLIDEAN)
+        applied = False
+        a = 1
+        while a < m - 2:
+            bs = np.arange(a + 1, m - 1)
+            gains = (
+                el[a - 1]
+                + el[bs]
+                - vec_dist(p[a - 1], p[bs], Metric.EUCLIDEAN)
+                - vec_dist(p[a], p[bs + 1], Metric.EUCLIDEAN)
+            )
+            good = np.flatnonzero(gains > eps)
+            if good.size:
+                b = int(bs[good[0]])
+                ids[a : b + 1] = ids[a : b + 1][::-1]
+                p = pts[ids]
+                el = vec_dist(p[:-1], p[1:], Metric.EUCLIDEAN)
+                applied = True
+                continue  # rescan this row: the reversal may enable another cut
+            a += 1
+        # a full pass with no application certifies path-local optimality
+        if not applied:
+            return [int(v) for v in ids]

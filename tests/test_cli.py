@@ -93,6 +93,30 @@ def test_bad_flag_is_validation_error(tmp_path):
     assert run_cli("frobnicate") == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("argv", [
+    ("run", "--eps", "-1"),
+    ("run", "--eps", "nan"),
+    ("run", "--max-iter", "-1"),
+    ("lb", "certify", "--eps", "nan"),
+    ("lb", "certify", "--eps", "0"),
+])
+def test_out_of_range_stopping_rule_exits_1_promptly(tmp_path, argv):
+    # each of these could hang `run` or report "converged" / "certified"
+    # without comparing a single gain; the subprocess timeout bounds a hang
+    inst_path = tmp_path / "inst.json"
+    if argv[0] == "run":
+        assert run_cli("gen", "--n", "12", "--sigma", "0.0", "--origins", "grid",
+                       "-o", str(inst_path)) == EXIT_OK
+    else:
+        assert run_cli("lb", "build", "--p", "3", "--t", "1", "-o", str(inst_path)) == EXIT_OK
+    proc = subprocess.run(
+        [sys.executable, "-m", "twoptlab.cli", *argv[:-2], "--instance", str(inst_path), *argv[-2:]],
+        capture_output=True, text=True, cwd=tmp_path, env=_checkout_env(), timeout=60,
+    )
+    assert proc.returncode == EXIT_VALIDATION, proc.stderr
+    assert "error:" in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # ratio experiment
 

@@ -84,6 +84,11 @@ def test_parse_config_validates_values():
         parse_config("n = 30\nsigma = 0.1\nratio = exact\n")
     with pytest.raises(ValueError, match="empty list"):
         parse_config("n = ,\nsigma = 0.1\n")
+    for eps in ("-1", "0", "nan", "inf"):
+        with pytest.raises(ValueError, match="eps"):
+            parse_config(f"n = 8\nsigma = 0.1\neps = {eps}\n")
+    with pytest.raises(ValueError, match="max_iter"):
+        parse_config("n = 8\nsigma = 0.1\nmax_iter = -1\n")
 
 
 def test_lb_config_needs_p():

@@ -110,6 +110,13 @@ def test_build_rejects_bad_parameters():
 # designated tour
 
 
+def test_long_tour_rejects_out_of_range_path_eps():
+    li = build_layered(3, sigma=0.0, t=1)
+    for eps in (-1.0, 0.0, math.nan):
+        with pytest.raises(ValueError, match="eps"):
+            build_long_tour(li, path_eps=eps)
+
+
 def test_long_tour_is_a_permutation():
     li = build_layered(3, sigma=0.0, t=1)
     tour = build_long_tour(li)

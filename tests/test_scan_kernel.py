@@ -1,0 +1,119 @@
+"""The shared gain kernel against the reference scan loops in scan_oracle.
+
+Every scan in the package -- the engine's three pivot rules, the certifier
+and the layered path 2-opt -- runs through one kernel.  These tests replay a
+seeded corpus through both and require identical (i, j, gain) sequences,
+identical certifier verdicts and identical tours, bit for bit.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+import scan_oracle
+from twoptlab import (
+    Tour,
+    build_layered,
+    build_long_tour,
+    certify_two_optimality,
+    find_improving,
+    make_origins,
+    pairwise_distances,
+    perturb,
+    run_two_opt,
+)
+from twoptlab import layered
+from twoptlab.tour import _make_change
+
+METRICS = ("l1", "l2", "l2sq")
+PIVOTS = ("first", "best", "random")
+INITS = ("random", "nn", "greedy")
+SIZES = (5, 8, 12, 30, 60)
+
+
+def _corpus(seeds):
+    """(n, seed, points): perturbed instances, and exact grids where gains tie."""
+    for n, seed in itertools.product(SIZES, seeds):
+        yield n, seed, perturb(make_origins("uniform", n, 2, seed), 0.3, seed).points
+        yield n, seed, make_origins("grid", n, 2, seed)
+
+
+@pytest.mark.parametrize("metric,pivot,init", itertools.product(METRICS, PIVOTS, INITS))
+def test_runs_match_reference_scans(metric, pivot, init):
+    for n, seed, pts in _corpus(range(2)):
+        rec = run_two_opt(pts, metric, init=init, pivot=pivot, seed=seed)
+        changes, final_order = scan_oracle.run_two_opt(pts, metric, init, pivot, 1e-12, seed)
+        assert rec.changes == changes, (n, seed)
+        assert rec.final_order == [int(v) for v in final_order], (n, seed)
+        assert rec.converged
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_find_improving_matches_reference_scans(metric):
+    for n, seed, pts in _corpus(range(4)):
+        D = pairwise_distances(pts, metric)
+        tour = Tour.from_order(np.random.default_rng(seed).permutation(n))
+        for pivot in PIVOTS:
+            got = find_improving(tour, pts, metric, pivot=pivot, seed=seed)
+            hit = scan_oracle.scan(D, tour.order, pivot, 1e-12, np.random.default_rng(seed))
+            want = None if hit is None else _make_change(tour.order, *hit)
+            assert got == want, (n, seed, pivot)
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_certify_matches_reference_loop(metric):
+    for n, seed, pts in _corpus(range(4)):
+        tours = [
+            Tour.from_order(np.random.default_rng(seed).permutation(n)),
+            Tour.from_order(run_two_opt(pts, metric, seed=seed).final_order),
+        ]
+        for tour in tours:
+            got = certify_two_optimality(pts, tour, metric)
+            want = scan_oracle.certify_scan(pts, tour.order, metric, 1e-12)
+            if want is None:
+                assert got is None
+            else:
+                assert (got.gain, got.i, got.j) == want
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_adjacent_wrap_pair_is_never_a_candidate(metric):
+    # The tour edges 0 and n-1 share vertex order[0]; their "gain" is zero
+    # only up to rounding, which at this scale can exceed eps.
+    residues = 0
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        angles = np.sort(rng.random(8)) * 2.0 * np.pi
+        pts = 1e6 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        D = pairwise_distances(pts, metric)
+        residues += bool(D[0, 1] + D[7, 0] - D[0, 7] - D[1, 0] > 1e-12)
+        tour = Tour.from_order(range(8))
+        for pivot in PIVOTS:
+            hit = scan_oracle.scan(D, tour.order, pivot, 1e-12, np.random.default_rng(seed))
+            want = None if hit is None else _make_change(tour.order, *hit)
+            assert find_improving(tour, pts, metric, pivot=pivot, seed=seed) == want
+        violation = certify_two_optimality(pts, tour, metric)
+        want = scan_oracle.certify_scan(pts, tour.order, metric, 1e-12)
+        assert want == (None if violation is None else (violation.gain, violation.i, violation.j))
+    assert residues > 0
+
+
+def test_path_two_opt_matches_reference():
+    # clusters of coincident and nearly coincident points, the padding regime
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        centers = rng.random((4, 2))
+        pts = centers[rng.integers(4, size=40)] + rng.normal(scale=1e-9, size=(40, 2)) * (seed % 2)
+        path = [int(v) for v in rng.permutation(40)]
+        assert layered._path_two_opt(pts, path, 1e-15) == scan_oracle._path_two_opt(pts, path, 1e-15)
+
+
+def test_build_long_tour_matches_reference(monkeypatch):
+    li = build_layered(3, 3e-6)
+    insts = [li.perturbed(seed) for seed in range(4)]
+    got = [build_long_tour(li, inst).order for inst in insts]
+    monkeypatch.setattr(layered, "_path_two_opt", scan_oracle._path_two_opt)
+    want = [build_long_tour(li, inst).order for inst in insts]
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)

@@ -24,11 +24,14 @@ from twoptlab import (
     linked_pair_bound,
     make_origins,
     min_improvement,
+    pairwise_distances,
     perturb,
     run_two_opt,
     tour_length,
     two_change_gain,
 )
+from twoptlab.geometry import vec_dist
+from twoptlab.tour import _make_change
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 # vertex order 0,1,2,3 over these coordinates walks both diagonals
@@ -284,6 +287,24 @@ def test_run_max_iter_flags_non_convergence():
     assert rec.iterations == 3
 
 
+@pytest.mark.parametrize("eps", [-1.0, 0.0, math.nan, math.inf])
+def test_out_of_range_eps_is_rejected(eps):
+    # eps <= 0 lets zero-gain changes cycle forever, and nan makes every
+    # gain comparison false, so a run would "converge" without a scan
+    square = Tour.from_order([0, 1, 2, 3])
+    with pytest.raises(ValueError, match="eps"):
+        run_two_opt(CROSSING, "l2", eps=eps)
+    with pytest.raises(ValueError, match="eps"):
+        find_improving(square, CROSSING, "l2", eps=eps)
+    with pytest.raises(ValueError, match="eps"):
+        certify_two_optimality(CROSSING, square, "l2", eps)
+
+
+def test_negative_max_iter_is_rejected():
+    with pytest.raises(ValueError, match="max_iter"):
+        run_two_opt(CROSSING, "l2", max_iter=-1)
+
+
 def test_run_two_opt_deterministic_given_seed():
     inst = _random_instance(18, 15)
     a = run_two_opt(inst, "l2", init="random", pivot="random", seed=15)
@@ -488,3 +509,34 @@ def test_runs_always_end_two_optimal(n, seed, pivot, metric):
     inst = _random_instance(n, seed)
     rec = run_two_opt(inst, metric, init="random", pivot=pivot, seed=seed)
     assert certify_two_optimality(inst.points, rec.final_order, metric, 1e-12) is None
+
+
+def _degenerate_points(layout, n, seed):
+    origins = make_origins("grid", n, 2, seed)
+    if layout == "coincident":
+        origins = origins[np.arange(n) // 2]  # every point has a twin
+    return perturb(origins, 1e-12 if layout == "sigma=1e-12" else 0.0, seed).points
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=4, max_value=20),
+    seed=st.integers(min_value=0, max_value=2**31),
+    metric=st.sampled_from(["l1", "l2", "l2sq"]),
+    layout=st.sampled_from(["grid", "coincident", "sigma=1e-12"]),
+)
+def test_matrix_and_coordinate_scans_agree(n, seed, metric, layout):
+    # The engine reads gains from the distance matrix, the certifier from
+    # coordinates; on degenerate layouts they must still agree bit for bit.
+    pts = _degenerate_points(layout, n, seed)
+    D = pairwise_distances(pts, metric)
+    assert np.array_equal(D, vec_dist(pts[:, None, :], pts[None, :, :], metric))
+    tour = Tour.from_order(np.random.default_rng(seed).permutation(n))
+    change = find_improving(tour, pts, metric, pivot="best")
+    violation = certify_two_optimality(pts, tour, metric)
+    assert change == (None if violation is None else
+                      _make_change(tour.order, violation.i, violation.j, violation.gain))
+    for pivot in ("first", "best", "random"):
+        rec = run_two_opt(pts, metric, pivot=pivot, seed=seed)
+        assert rec.converged
+        assert certify_two_optimality(pts, rec.final_order, metric) is None
