@@ -3,9 +3,11 @@
 Two independent exact TSP solvers are kept side by side on purpose --
 ``brute_force`` (permutation enumeration, n <= 11) and ``held_karp``
 (bitmask dynamic program, n <= 20) -- so each can vouch for the other in
-tests.  ``mst_length`` is a dense Prim implementation; under any metric
-satisfying the triangle inequality MST <= TSP <= 2 MST, which powers the
-cheap approximation-ratio lower bound used on instances too large to solve.
+tests.  ``mst_length`` is a dense Prim implementation that computes the
+distance row of each vertex from coordinates as the vertex joins the tree,
+so it needs O(n) memory and no n x n matrix; under any metric satisfying the
+triangle inequality MST <= TSP <= 2 MST, which powers the cheap
+approximation-ratio lower bound used on instances too large to solve.
 
 ``estimate_two_opt_max`` approximates the *worst* 2-optimal tour length by
 restarting the engine from many random tours and keeping the maximum; its
@@ -27,7 +29,7 @@ import time
 import numpy as np
 
 from .geometry import Metric, pairwise_distances, vec_dist
-from .tour import Tour, _coords, run_two_opt
+from .tour import Tour, _coords, _tour_order, run_two_opt
 
 __all__ = [
     "ExactResult",
@@ -146,24 +148,22 @@ def held_karp(inst_or_points, metric: Metric | str = Metric.EUCLIDEAN) -> ExactR
 
 
 def mst_length(inst_or_points, metric: Metric | str = Metric.EUCLIDEAN) -> float:
-    """Minimum-spanning-tree weight by dense Prim."""
+    """Minimum-spanning-tree weight by dense Prim, reading coordinate rows."""
+    m = Metric.parse(metric)
     pts = _coords(inst_or_points)
     n = pts.shape[0]
-    if n < 1:
-        raise ValueError("mst_length needs at least one point")
     if n == 1:
         return 0.0
-    D = pairwise_distances(pts, metric)
     in_tree = np.zeros(n, dtype=bool)
     in_tree[0] = True
-    best = D[0].copy()
+    best = vec_dist(pts[0], pts, m)
     best[0] = np.inf
     total = 0.0
     for _ in range(n - 1):
         v = int(np.argmin(best))
         total += float(best[v])
         in_tree[v] = True
-        best = np.minimum(best, D[v])
+        best = np.minimum(best, vec_dist(pts[v], pts, m))
         best[in_tree] = np.inf
     return total
 
@@ -215,11 +215,11 @@ def edge_length_histogram(
     the total lengths sum to the tour length exactly.
     """
     pts = _coords(inst_or_points)
+    order = _tour_order(tour, pts.shape[0])
     if opt_length is None:
         opt_length = held_karp(pts, metric).length
     if opt_length <= 0.0:
         raise ValueError(f"optimal length must be positive, got {opt_length}")
-    order = tour.order if isinstance(tour, Tour) else np.asarray(tour, dtype=np.int64)
     p = pts[order]
     lengths = vec_dist(p, np.roll(p, -1, axis=0), metric)
     bins: dict[int, list] = {}

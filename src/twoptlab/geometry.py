@@ -5,6 +5,11 @@ and squared Euclidean (l2sq).  Squared Euclidean is deliberately kept even
 though it violates the triangle inequality -- several experiments probe
 exactly that regime.
 
+``vec_dist`` is the one implementation of the three metrics; ``distance``
+and ``pairwise_distances`` are shapes around it.  A distance is therefore the
+same float whichever of them computed it, so the engine (matrix), the
+certifier (coordinates) and the scalar formulas below agree bit for bit.
+
 The module also provides the two scalar quantities everything downstream is
 built from:
 
@@ -75,18 +80,16 @@ def as_points(points: Iterable) -> np.ndarray:
 
 def distance(a, b, metric: Metric | str = Metric.EUCLIDEAN) -> float:
     """Distance between two points under the given metric."""
-    m = Metric.parse(metric)
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"point dimensions differ: {a.shape} vs {b.shape}")
-    diff = a - b
-    if m is Metric.MANHATTAN:
-        return float(np.sum(np.abs(diff)))
-    sq = float(np.dot(diff, diff))
-    if m is Metric.SQ_EUCLIDEAN:
-        return sq
-    return math.sqrt(sq)
+    return float(vec_dist(np.atleast_1d(a), np.atleast_1d(b), metric))
+
+
+# Elements of one pairwise_distances block: its (rows, n, d) coordinate
+# differences plus its (rows, n) distances.
+_BLOCK_ELEMENTS = 2**19
 
 
 def pairwise_distances(points, metric: Metric | str = Metric.EUCLIDEAN) -> np.ndarray:
@@ -100,28 +103,24 @@ def pairwise_distances(points, metric: Metric | str = Metric.EUCLIDEAN) -> np.nd
     pts = as_points(points)
     n = pts.shape[0]
     d = np.empty((n, n))
-    block = max(1, int(2**22 // max(1, n * pts.shape[1])))
+    block = max(1, _BLOCK_ELEMENTS // (n * (pts.shape[1] + 1)))
     for lo in range(0, n, block):
-        hi = min(n, lo + block)
-        diff = pts[lo:hi, None, :] - pts[None, :, :]
-        if m is Metric.MANHATTAN:
-            d[lo:hi] = np.abs(diff).sum(axis=2)
-        else:
-            np.einsum("ijk,ijk->ij", diff, diff, out=d[lo:hi])
-            if m is Metric.EUCLIDEAN:
-                np.sqrt(d[lo:hi], out=d[lo:hi])
+        d[lo : lo + block] = vec_dist(pts[lo : lo + block, None, :], pts[None, :, :], m)
     np.fill_diagonal(d, 0.0)
     return d
 
 
 def vec_dist(a, b, metric: Metric | str = Metric.EUCLIDEAN) -> np.ndarray:
-    """Row-aligned distances between two (k, d) arrays."""
+    """Distances between the points of two arrays broadcast against each other.
+
+    ``a`` and ``b`` are (..., d) coordinate arrays that broadcast to a common
+    shape (..., d); the result has shape (...).  This is the only code that
+    computes l1, l2 and l2sq.
+    """
     m = Metric.parse(metric)
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    diff = a - b
+    diff = np.subtract(a, b, dtype=np.float64)
     if m is Metric.MANHATTAN:
-        return np.abs(diff).sum(axis=-1)
+        return np.abs(diff, out=diff).sum(axis=-1)
     d = np.einsum("...k,...k->...", diff, diff)
     if m is Metric.EUCLIDEAN:
         d = np.sqrt(d)

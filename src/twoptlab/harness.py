@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import functools
 import itertools
 import math
 import os
@@ -328,37 +329,38 @@ def _lb_row(
     }
 
 
+def _sweep_row(cfg: SweepConfig, confs: list[dict], layered: dict, row_id: int) -> dict:
+    """Row ``row_id`` of the sweep; ``layered`` maps an lb config index to its instance."""
+    ci, si = divmod(row_id, cfg.seeds)
+    if cfg.experiment == "two_opt":
+        row = _two_opt_row(cfg, confs[ci], ci, si)
+    else:
+        row = _lb_row(cfg, confs[ci], ci, si, layered[ci])
+    row["row_id"] = row_id
+    return row
+
+
+def _layered_instances(cfg: SweepConfig, confs: list[dict], indices) -> dict:
+    if cfg.experiment != "lb":
+        return {}
+    return {ci: build_layered(confs[ci]["p"], confs[ci]["sigma"], confs[ci]["t"]) for ci in indices}
+
+
 def run_sweep(cfg: SweepConfig, threads: int | None = None) -> list[dict]:
-    """Run all tasks of a sweep; rows come back in canonical order."""
+    """Run all tasks of a sweep; rows come back in canonical order.
+
+    The first task to raise stops the sweep: queued tasks are cancelled and
+    the exception propagates once the running ones have finished.
+    """
     cfg.validate()
     confs = cfg.configurations()
-    layered: dict[int, LayeredInstance] = {}
-    if cfg.experiment == "lb":
-        for ci, conf in enumerate(confs):
-            layered[ci] = build_layered(conf["p"], conf["sigma"], conf["t"])
-
-    def compute(ci: int, si: int) -> dict:
-        if cfg.experiment == "two_opt":
-            return _two_opt_row(cfg, confs[ci], ci, si)
-        return _lb_row(cfg, confs[ci], ci, si, layered[ci])
-
-    tasks = [(ci, si) for ci in range(len(confs)) for si in range(cfg.seeds)]
-    width = resolve_threads(threads)
-    results: dict[tuple[int, int], dict] = {}
-    if width == 1 or len(tasks) == 1:
-        for ci, si in tasks:
-            results[(ci, si)] = compute(ci, si)
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=width) as pool:
-            futures = {pool.submit(compute, ci, si): (ci, si) for ci, si in tasks}
-            for fut in concurrent.futures.as_completed(futures):
-                results[futures[fut]] = fut.result()
-    rows = []
-    for row_id, (ci, si) in enumerate(tasks):
-        row = results[(ci, si)]
-        row["row_id"] = row_id
-        rows.append(row)
-    return rows
+    layered = _layered_instances(cfg, confs, range(len(confs)))
+    row = functools.partial(_sweep_row, cfg, confs, layered)
+    pool = concurrent.futures.ThreadPoolExecutor(max_workers=resolve_threads(threads))
+    try:
+        return list(pool.map(row, range(len(confs) * cfg.seeds)))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def replay_row(cfg: SweepConfig, row_id: int) -> dict:
@@ -368,14 +370,8 @@ def replay_row(cfg: SweepConfig, row_id: int) -> dict:
     total = len(confs) * cfg.seeds
     if not 0 <= row_id < total:
         raise ValueError(f"row_id {row_id} out of range (sweep has {total} rows)")
-    ci, si = divmod(row_id, cfg.seeds)
-    if cfg.experiment == "two_opt":
-        row = _two_opt_row(cfg, confs[ci], ci, si)
-    else:
-        li = build_layered(confs[ci]["p"], confs[ci]["sigma"], confs[ci]["t"])
-        row = _lb_row(cfg, confs[ci], ci, si, li)
-    row["row_id"] = row_id
-    return row
+    layered = _layered_instances(cfg, confs, [row_id // cfg.seeds])
+    return _sweep_row(cfg, confs, layered, row_id)
 
 
 def _format_cell(value) -> str:

@@ -71,6 +71,14 @@ def _coords(inst_or_points) -> np.ndarray:
     return as_points(pts)
 
 
+def _tour_order(tour, n: int) -> np.ndarray:
+    """The order array of a Tour or vertex sequence, checked to be a permutation of 0..n-1."""
+    order = tour.order if isinstance(tour, Tour) else np.asarray(tour, dtype=np.int64).ravel()
+    if order.size != n or not np.array_equal(np.sort(order), np.arange(n)):
+        raise ValueError(f"tour order is not a permutation of 0..{n - 1}")
+    return order
+
+
 @dataclasses.dataclass
 class Tour:
     """A cyclic visiting order.
@@ -95,15 +103,9 @@ class Tour:
     ) -> "Tour":
         """Validate a permutation and canonicalize its rotation."""
         arr = np.asarray(order, dtype=np.int64).ravel()
-        n = arr.size
-        if n < 3:
+        if arr.size < 3:
             raise ValueError("a tour needs at least three vertices")
-        seen = np.zeros(n, dtype=bool)
-        if arr.min(initial=0) < 0 or arr.max(initial=0) >= n:
-            raise ValueError("tour order is not a permutation of 0..n-1")
-        seen[arr] = True
-        if not seen.all():
-            raise ValueError("tour order is not a permutation of 0..n-1")
+        _tour_order(arr, arr.size)
         shift = int(np.flatnonzero(arr == 0)[0])
         arr = np.roll(arr, -shift)
         token = Metric.parse(metric).value if metric is not None else None
@@ -214,9 +216,8 @@ class RunRecord:
 
 def tour_length(tour: Tour | Sequence[int], inst_or_points, metric: Metric | str = Metric.EUCLIDEAN) -> float:
     """Length of the closed tour under the metric."""
-    order = tour.order if isinstance(tour, Tour) else np.asarray(tour, dtype=np.int64)
     pts = _coords(inst_or_points)
-    p = pts[order]
+    p = pts[_tour_order(tour, pts.shape[0])]
     return float(vec_dist(p, np.roll(p, -1, axis=0), metric).sum())
 
 
@@ -400,11 +401,13 @@ def find_improving(
     """Search the tour for an improving 2-change under the pivot rule."""
     _check_pivot(pivot)
     _check_stopping(eps)
-    D = pairwise_distances(_coords(inst_or_points), metric)
-    hit = _scan_tour(D, tour.order, pivot, eps, np.random.default_rng(seed))
+    pts = _coords(inst_or_points)
+    order = _tour_order(tour, pts.shape[0])
+    D = pairwise_distances(pts, metric)
+    hit = _scan_tour(D, order, pivot, eps, np.random.default_rng(seed))
     if hit is None:
         return None
-    return _make_change(tour.order, *hit)
+    return _make_change(order, *hit)
 
 
 def apply_two_change(tour: Tour, change: TwoChange) -> Tour:
@@ -527,7 +530,7 @@ def certify_two_optimality(
     """
     _check_stopping(eps)
     pts = _coords(inst_or_points)
-    order = tour.order if isinstance(tour, Tour) else np.asarray(tour, dtype=np.int64)
+    order = _tour_order(tour, pts.shape[0])
     p = pts[order]
     pn = np.roll(p, -1, axis=0)
     worst = _scan("best", eps, vec_dist(p, pn, metric), p, pn, lambda x, ys: vec_dist(x, ys, metric))
@@ -550,6 +553,7 @@ def min_improvement(
     divides the total descent: iterations <= initial_length / min_improvement.
     Returns None when no quadruple improves.  O(n^4) work, O(n^2) memory.
     """
+    _check_stopping(eps)
     pts = _coords(inst_or_points)
     n = pts.shape[0]
     if n < 4:

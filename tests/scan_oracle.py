@@ -1,16 +1,18 @@
-"""Reference 2-opt scan loops, kept for tests only.
+"""Reference 2-opt scan loops and MST, kept for tests only.
 
 One hand-written loop per caller: the engine's three pivot rules, the
 certifier and the layered path 2-opt, each computing the 2-change gain on
 its own.  The package replaced them with one shared kernel; test_scan_kernel
 checks that the kernel gives the same (i, j, gain) sequences, the same
-certifier verdicts and the same tours as these loops.
+certifier verdicts and the same tours as these loops.  ``mst_length`` is the
+dense Prim over a full distance matrix that the package replaced with Prim
+over coordinate rows; the test requires the same weight, bit for bit.
 """
 
 import numpy as np
 
 from twoptlab.geometry import Metric, pairwise_distances, vec_dist
-from twoptlab.tour import Tour, _make_change, _reverse_segment, initial_tour
+from twoptlab.tour import Tour, _coords, _make_change, _reverse_segment, initial_tour
 
 # Scans work on (D, order) with edge i = (order[i], order[(i+1) % n]).
 # Candidate pairs: j in [i+2, n-1], minus (0, n-1); i runs to n-3.
@@ -166,3 +168,26 @@ def _path_two_opt(pts: np.ndarray, path: list[int], eps: float) -> list[int]:
         # a full pass with no application certifies path-local optimality
         if not applied:
             return [int(v) for v in ids]
+
+
+def mst_length(inst_or_points, metric: Metric | str = Metric.EUCLIDEAN) -> float:
+    """Minimum-spanning-tree weight by dense Prim."""
+    pts = _coords(inst_or_points)
+    n = pts.shape[0]
+    if n < 1:
+        raise ValueError("mst_length needs at least one point")
+    if n == 1:
+        return 0.0
+    D = pairwise_distances(pts, metric)
+    in_tree = np.zeros(n, dtype=bool)
+    in_tree[0] = True
+    best = D[0].copy()
+    best[0] = np.inf
+    total = 0.0
+    for _ in range(n - 1):
+        v = int(np.argmin(best))
+        total += float(best[v])
+        in_tree[v] = True
+        best = np.minimum(best, D[v])
+        best[in_tree] = np.inf
+    return total

@@ -193,6 +193,12 @@ def test_histogram_rejects_nonpositive_opt():
         edge_length_histogram([0, 1, 2, 3], SQUARE, "l2", opt_length=0.0)
 
 
+def test_histogram_rejects_non_tours():
+    for order in ([0, 0, 0, 0], [0, 1, 2], [0, 1, 2, 3, 4]):
+        with pytest.raises(ValueError, match="permutation"):
+            edge_length_histogram(order, SQUARE, "l2", opt_length=4.0)
+
+
 def test_histogram_longest_bin_ratio_reported():
     inst = _random_instance(10, 7)
     est_order = held_karp(inst, "l2").tour

@@ -2,10 +2,12 @@
 
 import math
 import os
+import time
 
 import numpy as np
 import pytest
 
+from twoptlab import harness
 from twoptlab.harness import (
     ROW_COLUMNS,
     SweepConfig,
@@ -169,6 +171,24 @@ def test_replay_row_matches_sweep():
         replay_row(cfg, len(rows))
     with pytest.raises(ValueError, match="out of range"):
         replay_row(cfg, -1)
+
+
+def test_run_sweep_stops_at_first_failure(monkeypatch):
+    # one failing task cancels the queue instead of waiting for every row
+    started = []
+
+    def row(cfg, conf, config_index, seed_index):
+        started.append((config_index, seed_index))
+        if (config_index, seed_index) == (0, 0):
+            raise RuntimeError("row 0 failed")
+        time.sleep(0.05)
+        return {}
+
+    monkeypatch.delenv("TWOPT_THREADS", raising=False)
+    monkeypatch.setattr(harness, "_two_opt_row", row)
+    with pytest.raises(RuntimeError, match="row 0 failed"):
+        run_sweep(SweepConfig(n=(8,), sigma=(0.1,), seeds=50), threads=2)
+    assert len(started) < 50
 
 
 def test_lb_sweep_rows():

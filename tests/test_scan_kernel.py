@@ -3,7 +3,9 @@
 Every scan in the package -- the engine's three pivot rules, the certifier
 and the layered path 2-opt -- runs through one kernel.  These tests replay a
 seeded corpus through both and require identical (i, j, gain) sequences,
-identical certifier verdicts and identical tours, bit for bit.
+identical certifier verdicts and identical tours, bit for bit.  The MST,
+computed from coordinate rows, must weigh exactly what the reference dense
+Prim over the full matrix gives.
 """
 
 import itertools
@@ -19,6 +21,7 @@ from twoptlab import (
     certify_two_optimality,
     find_improving,
     make_origins,
+    mst_length,
     pairwise_distances,
     perturb,
     run_two_opt,
@@ -117,3 +120,12 @@ def test_build_long_tour_matches_reference(monkeypatch):
     want = [build_long_tour(li, inst).order for inst in insts]
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_mst_length_matches_dense_prim(metric):
+    # grids carry many tied distances, so a change in tie-breaking shows
+    for n, seed, pts in _corpus(range(2)):
+        assert mst_length(pts, metric) == scan_oracle.mst_length(pts, metric), (n, seed)
+    pts = build_layered(3, 3e-6).perturbed(0).points
+    assert mst_length(pts, metric) == scan_oracle.mst_length(pts, metric)

@@ -61,6 +61,33 @@ def test_tour_rejects_non_permutations():
         Tour.from_order([0, 1, 4], metric="l2")
 
 
+def test_non_tours_are_rejected():
+    # a repeated vertex, a short order, or a tour over other points must not
+    # pass for a tour: as one it would measure 0.0 or certify "2-optimal"
+    pts = make_origins("uniform", 8, 2, 0)
+    for order in ([0] * 8, [0, 1, 2, 3], [0, 1, 2, 3, 4, 5, 6, 8], list(range(9))):
+        with pytest.raises(ValueError, match="permutation"):
+            tour_length(order, pts)
+        with pytest.raises(ValueError, match="permutation"):
+            certify_two_optimality(pts, order)
+    with pytest.raises(ValueError, match="permutation"):
+        Tour.from_order([0, 0, 0, 0])
+    other = Tour.from_order(range(4))
+    with pytest.raises(ValueError, match="permutation"):
+        tour_length(other, pts)
+    with pytest.raises(ValueError, match="permutation"):
+        find_improving(other, pts)
+
+
+def test_certify_keeps_the_callers_positions():
+    # the order is checked, not rotated: i and j index the order as passed
+    order = [2, 3, 0, 1]
+    violation = certify_two_optimality(CROSSING, order, "l2")
+    assert violation is not None
+    i, j = violation.i, violation.j
+    assert violation.removed == ((order[i], order[i + 1]), (order[j], order[(j + 1) % 4]))
+
+
 def test_tour_positions_and_edges():
     t = Tour.from_order([0, 2, 1, 3], metric="l2")
     pos = t.positions()
@@ -168,7 +195,7 @@ def test_find_improving_best_returns_max_gain():
             )
             gains.append(g)
     assert best is not None
-    assert best.gain == pytest.approx(max(gains), rel=1e-12)
+    assert best.gain == max(gains)
 
 
 def test_find_improving_random_is_seeded_and_improving():
@@ -267,7 +294,7 @@ def test_run_recorded_gains_match_delta_identity():
     for ch in rec.changes:
         (x1, x2), (x3, x4) = ch.removed
         g = two_change_gain(pts[x1], pts[x2], pts[x3], pts[x4], "l2")
-        assert abs(g - ch.gain) <= 1e-12 * max(1.0, abs(g))
+        assert ch.gain == g
 
 
 def test_run_lengths_strictly_decrease():
@@ -345,6 +372,13 @@ def test_min_improvement_requires_n4():
         min_improvement(np.zeros((3, 2)), "l2")
 
 
+@pytest.mark.parametrize("eps", [math.nan, -1.0, 0.0])
+def test_min_improvement_rejects_out_of_range_eps(eps):
+    # nan reported "no quadruple improves"; -1 a negative smallest gain
+    with pytest.raises(ValueError, match="eps"):
+        min_improvement(make_origins("uniform", 6, 2, 0), "l2", eps)
+
+
 def test_min_improvement_unit_square():
     assert min_improvement(SQUARE, "l2") == pytest.approx(2.0 * math.sqrt(2.0) - 2.0)
 
@@ -371,7 +405,7 @@ def test_min_improvement_matches_brute_enumeration():
             if g > 1e-12 and (best is None or g < best):
                 best = g
         got = min_improvement(pts, m)
-        assert got == pytest.approx(best, rel=1e-12)
+        assert got == best
 
 
 def test_min_improvement_rigid_motion_invariance():
