@@ -48,15 +48,11 @@ _ID_COLUMNS = [
 ]
 
 
-class _CliError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems as validation errors (exit 1)."""
 
     def error(self, message):
-        raise _CliError(message)
+        raise ValueError(message)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -82,18 +78,18 @@ def _cmd_gen(args) -> int:
         with open(args.origins[5:], "r", encoding="utf-8") as fh:
             origins = np.asarray(json.load(fh), dtype=np.float64)
         if origins.ndim != 2:
-            raise _CliError("origins file must hold a JSON list of coordinate rows")
+            raise ValueError("origins file must hold a JSON list of coordinate rows")
         if args.n is not None and args.n != origins.shape[0]:
-            raise _CliError(
+            raise ValueError(
                 f"--n {args.n} does not match the {origins.shape[0]} rows in the origins file"
             )
         if origins.shape[1] != args.dim:
-            raise _CliError(
+            raise ValueError(
                 f"--dim {args.dim} does not match the origins file ({origins.shape[1]} columns)"
             )
     else:
         if args.n is None:
-            raise _CliError("--n is required unless origins come from a file")
+            raise ValueError("--n is required unless origins come from a file")
         origins = make_origins(args.origins, args.n, args.dim, args.seed)
     inst = perturb(origins, args.sigma, args.seed)
     with open(args.output, "w", encoding="utf-8") as fh:
@@ -134,8 +130,6 @@ def _cmd_exact(args) -> int:
 
 def _cmd_ratio(args) -> int:
     grid = [float(v) for v in args.sigma_grid.split(",") if v.strip()]
-    if not grid:
-        raise _CliError("--sigma-grid needs at least one value")
     rows = ratio_experiment(
         n=args.n,
         sigma_grid=grid,
@@ -233,12 +227,12 @@ def _cmd_plot_data(args) -> int:
         reader = csv_mod.reader(fh)
         header = next(reader, None)
         if header is None:
-            raise _CliError(f"{args.input} is empty")
+            raise ValueError(f"{args.input} is empty")
         data = list(reader)
     ids = [c for c in header if c in _ID_COLUMNS]
     values = [c for c in header if c not in _ID_COLUMNS]
     if not values:
-        raise _CliError("input has no value columns to melt")
+        raise ValueError("input has no value columns to melt")
     out_rows = []
     for cells in data:
         row = dict(zip(header, cells))

@@ -33,10 +33,11 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy.integrate import quad
 
-from .exact import held_karp, mst_length, estimate_two_opt_max
+from .exact import HELD_KARP_MAX_N, held_karp, mst_length, estimate_two_opt_max
 from .geometry import Metric
-from .layered import LayeredInstance, build_layered, build_long_tour, check_containers
+from .layered import build_layered, build_long_tour, check_containers, layered_params
 from .stochastic import (
+    _check_sigma,
     chi_inverse_moment,
     chi_pdf,
     chi_square_tail,
@@ -88,11 +89,6 @@ class VerificationError(Exception):
 
 
 _LIST_KEYS = {"n", "sigma", "metric", "pivot", "init"}
-_KNOWN_KEYS = {
-    "experiment", "n", "dim", "sigma", "metric", "pivot", "init", "origins",
-    "seeds", "base_seed", "eps", "max_iter", "ratio", "delta_min", "linked",
-    "p", "t",
-}
 
 _RATIO_EXACT_MAX_N = 14
 _DELTA_MIN_AUTO_MAX_N = 12
@@ -149,6 +145,10 @@ class SweepConfig:
                 raise ValueError("two_opt sweep needs sigma = ...")
             if min(self.n) < 4:
                 raise ValueError("two_opt sweep needs n >= 4")
+            if self.dim < 1:
+                raise ValueError(f"dim must be >= 1, got {self.dim}")
+            for s in self.sigma:
+                _check_sigma(s)
             for m in self.metric:
                 Metric.parse(m)
             for pv in self.pivot:
@@ -159,8 +159,8 @@ class SweepConfig:
                 raise ValueError(f"unknown origins rule {self.origins!r}")
             if self.ratio not in ("auto", "exact", "bound", "none"):
                 raise ValueError(f"unknown ratio mode {self.ratio!r}")
-            if self.ratio == "exact" and max(self.n) > 20:
-                raise ValueError("ratio = exact needs n <= 20 (exact solver range)")
+            if self.ratio == "exact" and max(self.n) > HELD_KARP_MAX_N:
+                raise ValueError(f"ratio = exact needs n <= {HELD_KARP_MAX_N} (exact solver range)")
             if self.delta_min not in ("auto", "always", "never"):
                 raise ValueError(f"unknown delta_min mode {self.delta_min!r}")
         else:
@@ -168,10 +168,13 @@ class SweepConfig:
                 raise ValueError("lb sweep needs p = ...")
             if not self.sigma:
                 raise ValueError("lb sweep needs sigma = ...")
+            for s in self.sigma:
+                layered_params(self.p, s, self.t)
 
 
 def parse_config(text: str) -> SweepConfig:
     """Parse the flat key=value format; reject unknown or repeated keys."""
+    known = {f.name for f in dataclasses.fields(SweepConfig)}
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -182,7 +185,7 @@ def parse_config(text: str) -> SweepConfig:
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.split("#", 1)[0].strip()
-        if key not in _KNOWN_KEYS:
+        if key not in known:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
         if key in raw:
             raise ValueError(f"config line {lineno}: repeated key {key!r}")
@@ -303,14 +306,9 @@ def _two_opt_row(cfg: SweepConfig, conf: dict, config_index: int, seed_index: in
     return row
 
 
-def _lb_row(
-    cfg: SweepConfig,
-    conf: dict,
-    config_index: int,
-    seed_index: int,
-    li: LayeredInstance,
-) -> dict:
+def _lb_row(cfg: SweepConfig, conf: dict, config_index: int, seed_index: int) -> dict:
     seed = task_seed(cfg.base_seed, config_index, seed_index)
+    li = build_layered(conf["p"], conf["sigma"], conf["t"])
     inst = li.perturbed(seed)
     tour = build_long_tour(li, inst)
     ok, worst = check_containers(li, inst)
@@ -329,21 +327,13 @@ def _lb_row(
     }
 
 
-def _sweep_row(cfg: SweepConfig, confs: list[dict], layered: dict, row_id: int) -> dict:
-    """Row ``row_id`` of the sweep; ``layered`` maps an lb config index to its instance."""
+def _sweep_row(cfg: SweepConfig, confs: list[dict], row_id: int) -> dict:
+    """Row ``row_id`` of the sweep."""
     ci, si = divmod(row_id, cfg.seeds)
-    if cfg.experiment == "two_opt":
-        row = _two_opt_row(cfg, confs[ci], ci, si)
-    else:
-        row = _lb_row(cfg, confs[ci], ci, si, layered[ci])
+    row_fn = _two_opt_row if cfg.experiment == "two_opt" else _lb_row
+    row = row_fn(cfg, confs[ci], ci, si)
     row["row_id"] = row_id
     return row
-
-
-def _layered_instances(cfg: SweepConfig, confs: list[dict], indices) -> dict:
-    if cfg.experiment != "lb":
-        return {}
-    return {ci: build_layered(confs[ci]["p"], confs[ci]["sigma"], confs[ci]["t"]) for ci in indices}
 
 
 def run_sweep(cfg: SweepConfig, threads: int | None = None) -> list[dict]:
@@ -354,8 +344,7 @@ def run_sweep(cfg: SweepConfig, threads: int | None = None) -> list[dict]:
     """
     cfg.validate()
     confs = cfg.configurations()
-    layered = _layered_instances(cfg, confs, range(len(confs)))
-    row = functools.partial(_sweep_row, cfg, confs, layered)
+    row = functools.partial(_sweep_row, cfg, confs)
     pool = concurrent.futures.ThreadPoolExecutor(max_workers=resolve_threads(threads))
     try:
         return list(pool.map(row, range(len(confs) * cfg.seeds)))
@@ -370,8 +359,7 @@ def replay_row(cfg: SweepConfig, row_id: int) -> dict:
     total = len(confs) * cfg.seeds
     if not 0 <= row_id < total:
         raise ValueError(f"row_id {row_id} out of range (sweep has {total} rows)")
-    layered = _layered_instances(cfg, confs, [row_id // cfg.seeds])
-    return _sweep_row(cfg, confs, layered, row_id)
+    return _sweep_row(cfg, confs, row_id)
 
 
 def _format_cell(value) -> str:
@@ -463,8 +451,14 @@ def ratio_experiment(
     {0.01, 0.03, 0.1, 0.3, 1}.  At scale 1.0 the decay would start only past
     sigma=0.1.  n is capped by the exact solver (<= 20).
     """
-    if n > 20:
-        raise ValueError(f"ratio experiment needs n <= 20 for the exact optimum, got {n}")
+    if n > HELD_KARP_MAX_N:
+        raise ValueError(
+            f"ratio experiment needs n <= {HELD_KARP_MAX_N} for the exact optimum, got {n}"
+        )
+    if seeds < 1:
+        raise ValueError(f"seeds must be >= 1, got {seeds}")
+    if len(sigma_grid) == 0:
+        raise ValueError("ratio experiment needs at least one sigma")
     if origin_scale <= 0.0:
         raise ValueError(f"origin_scale must be positive, got {origin_scale}")
     rows = []

@@ -30,9 +30,10 @@ beta = a_t/8 = 1/(24 p^(2t)) is a comfortable multiple of sigma, and when
 every point stays within beta of its origin (``check_containers``) the
 perturbed designated tour remains 2-optimal.  Two details make that true on
 actual perturbed data, both local to coincident points: the padding cluster
-is traversed along a nearest-neighbor path refined by a path-restricted
-2-opt (anchored at C's bridge neighbors), and each coincident junction pair
-is visited in the order that minimizes the two incident edges.  The ground
+is traversed along the engine's nearest-neighbour walk over coordinate
+rows (from C's left bridge neighbor), refined by a path-restricted 2-opt
+(anchored at C's bridge neighbors), and each coincident junction pair is
+visited in the order that minimizes the two incident edges.  The ground
 truth is always ``certify_two_optimality``, which re-scans every pair.
 """
 
@@ -47,8 +48,8 @@ import numpy as np
 
 from .exact import mst_length
 from .geometry import Metric, vec_dist
-from .stochastic import Instance, perturb
-from .tour import Tour, _check_stopping, _scan, certify_two_optimality, tour_length
+from .stochastic import Instance, _check_sigma, perturb
+from .tour import Tour, _check_stopping, _nn_walk, _scan, certify_two_optimality, tour_length
 
 __all__ = [
     "LayeredParams",
@@ -76,8 +77,7 @@ def _validate_p(p: int) -> None:
 def default_t(p: int, sigma: float) -> int:
     """Largest odd t <= p with 3 sigma p^(2t+1) <= 1; sigma = 0 gives t = p."""
     _validate_p(p)
-    if sigma < 0.0:
-        raise ValueError(f"sigma must be non-negative, got {sigma}")
+    _check_sigma(sigma, allow_large_sigma=True)
     if sigma == 0.0:
         return p
     for t in range(p, 0, -2):
@@ -114,8 +114,7 @@ class LayeredParams:
 def layered_params(p: int, sigma: float = 0.0, t: int | None = None) -> LayeredParams:
     """Resolve (p, sigma, t) into the full parameter set, validating all rules."""
     _validate_p(p)
-    if sigma < 0.0:
-        raise ValueError(f"sigma must be non-negative, got {sigma}")
+    _check_sigma(sigma, allow_large_sigma=True)
     if t is None:
         t = default_t(p, sigma)
     else:
@@ -167,6 +166,13 @@ class LayeredInstance:
     def perturbed(self, seed: int) -> Instance:
         return perturb(self.origins, self.params.sigma, seed)
 
+    def _check_origins(self, inst: Instance) -> None:
+        """Raise unless ``inst`` was perturbed from this construction's origins."""
+        if inst.origins.shape != self.origins.shape or not np.array_equal(
+            inst.origins, self.origins
+        ):
+            raise ValueError("instance origins do not match the construction")
+
     def to_json(self, inst: Instance | None = None, fp: IO[str] | None = None) -> str:
         """Instance JSON plus "labels" and "params" blocks.
 
@@ -176,10 +182,7 @@ class LayeredInstance:
         """
         if inst is None:
             inst = self.unperturbed()
-        if inst.origins.shape != self.origins.shape or not np.array_equal(
-            inst.origins, self.origins
-        ):
-            raise ValueError("instance origins do not match the construction")
+        self._check_origins(inst)
         payload = json.loads(inst.to_json())
         payload["labels"] = [[part, layer] for part, layer in self.labels]
         payload["params"] = {
@@ -264,19 +267,6 @@ def build_layered(p: int, sigma: float = 0.0, t: int | None = None) -> LayeredIn
 # designated tour
 
 
-def _nn_path(pts: np.ndarray, start: int, cluster: np.ndarray, end: int) -> list[int]:
-    """Nearest-neighbor path from ``start`` through all of ``cluster`` to ``end``."""
-    remaining = list(cluster)
-    path: list[int] = []
-    cur = start
-    while remaining:
-        d = vec_dist(pts[cur], pts[remaining], Metric.EUCLIDEAN)
-        k = int(np.argmin(d))
-        cur = remaining.pop(k)
-        path.append(cur)
-    return path
-
-
 def _path_two_opt(pts: np.ndarray, path: list[int], eps: float) -> list[int]:
     """First-improvement 2-opt on an open path; the two end points stay fixed.
 
@@ -322,10 +312,7 @@ def build_long_tour(
     _check_stopping(path_eps)
     if perturbed is None:
         perturbed = li.unperturbed()
-    if perturbed.origins.shape != li.origins.shape or not np.array_equal(
-        perturbed.origins, li.origins
-    ):
-        raise ValueError("perturbed instance does not match the construction origins")
+    li._check_origins(perturbed)
     pts = perturbed.points
     rows = li.part_rows()
     t = li.params.t
@@ -338,10 +325,12 @@ def build_long_tour(
 
     v3 = rows[("V3", t)]
     center = v3.size // 2
-    cluster = np.concatenate(([v3[center]], rows[("pad", t)]))
-    path = _nn_path(pts, int(v3[center - 1]), cluster, int(v3[center + 1]))
+    # nearest-neighbour walk from the left bridge anchor through the cluster
+    ids = np.concatenate(([v3[center - 1], v3[center]], rows[("pad", t)]))
+    sub = pts[ids]
+    walk = _nn_walk(ids.size, lambda v: vec_dist(sub[v], sub, Metric.EUCLIDEAN))
     path = _path_two_opt(
-        pts, [int(v3[center - 1])] + path + [int(v3[center + 1])], path_eps
+        pts, [int(v) for v in ids[walk]] + [int(v3[center + 1])], path_eps
     )[1:-1]
     v3_seq = [int(v) for v in v3[:center]] + path + [int(v) for v in v3[center + 1 :]]
     seq.extend(v3_seq)
@@ -371,10 +360,7 @@ def check_containers(li: LayeredInstance, perturbed: Instance) -> tuple[bool, fl
     Returns (ok, worst offset / beta).  The unperturbed instance returns
     (True, 0.0).
     """
-    if perturbed.origins.shape != li.origins.shape or not np.array_equal(
-        perturbed.origins, li.origins
-    ):
-        raise ValueError("perturbed instance does not match the construction origins")
+    li._check_origins(perturbed)
     offsets = vec_dist(perturbed.points, perturbed.origins, Metric.EUCLIDEAN)
     worst = float(offsets.max()) / li.params.beta
     return worst <= 1.0, worst

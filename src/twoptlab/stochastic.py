@@ -49,6 +49,18 @@ __all__ = [
 MAX_SIGMA = 1.0  # convention: sigma above this needs an explicit override
 
 
+def _check_sigma(sigma: float, allow_large_sigma: bool = False) -> None:
+    """The perturbation-strength rule: finite, >= 0 and, unless overridden, <= MAX_SIGMA."""
+    if sigma < 0.0:
+        raise ValueError(f"sigma must be non-negative, got {sigma}")
+    if sigma > MAX_SIGMA and not allow_large_sigma:
+        raise ValueError(
+            f"sigma={sigma} exceeds {MAX_SIGMA}; pass allow_large_sigma=True to override"
+        )
+    if not math.isfinite(sigma):
+        raise ValueError(f"sigma must be finite, got {sigma}")
+
+
 @dataclasses.dataclass
 class Instance:
     """A perturbed point set together with everything needed to rebuild it.
@@ -80,8 +92,9 @@ class Instance:
             )
         if self.n < 1:
             raise ValueError("an instance needs at least one point")
-        if self.sigma < 0.0:
-            raise ValueError(f"sigma must be non-negative, got {self.sigma}")
+        if not (np.all(np.isfinite(self.origins)) and np.all(np.isfinite(self.points))):
+            raise ValueError("origins and points must be finite")
+        _check_sigma(self.sigma, allow_large_sigma=True)
 
     @property
     def n(self) -> int:
@@ -167,12 +180,7 @@ def perturb(
     origins = np.asarray(origins, dtype=np.float64)
     if origins.ndim != 2:
         raise ValueError(f"origins must be an (n, d) array, got shape {origins.shape}")
-    if sigma < 0.0:
-        raise ValueError(f"sigma must be non-negative, got {sigma}")
-    if sigma > MAX_SIGMA and not allow_large_sigma:
-        raise ValueError(
-            f"sigma={sigma} exceeds {MAX_SIGMA}; pass allow_large_sigma=True to override"
-        )
+    _check_sigma(sigma, allow_large_sigma)
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(origins.shape)
     points = origins + sigma * noise

@@ -189,18 +189,8 @@ class RunRecord:
 
     def to_json(self, fp: IO[str] | None = None, include_changes: bool = False) -> str:
         payload = {
-            "seed": self.seed,
-            "metric": self.metric,
-            "pivot": self.pivot,
-            "init": self.init,
-            "n": self.n,
-            "eps": self.eps,
-            "initial_length": self.initial_length,
-            "final_length": self.final_length,
-            "iterations": self.iterations,
-            "min_gain_observed": self.min_gain_observed,
-            "converged": self.converged,
-            "final_order": self.final_order,
+            f.name: getattr(self, f.name)
+            for f in dataclasses.fields(self) if f.name != "changes"
         }
         if include_changes:
             payload["changes"] = [c.to_dict() for c in self.changes]
@@ -276,22 +266,29 @@ def initial_tour(
     return _start_tour(pts.shape[0], rule, seed, D)
 
 
+def _nn_walk(n: int, row) -> list[int]:
+    """Nearest-neighbour order of vertices 0..n-1 from vertex 0.
+
+    ``row(v)`` gives the distances from v to all n vertices; each step moves
+    to the nearest unvisited vertex, ties to the smallest index.
+    """
+    visited = np.zeros(n, dtype=bool)
+    order = [0]
+    visited[0] = True
+    for _ in range(n - 1):
+        cur = int(np.argmin(np.where(visited, np.inf, row(order[-1]))))
+        visited[cur] = True
+        order.append(cur)
+    return order
+
+
 def _start_tour(n: int, rule: str, seed, D: np.ndarray | None) -> Tour:
     """initial_tour for a canonical rule; D is the distance matrix (unused by "random")."""
     if rule == "random":
         rng = np.random.default_rng(seed)
         return Tour.from_order(rng.permutation(n))
     if rule == "nearest_neighbor":
-        visited = np.zeros(n, dtype=bool)
-        order = [0]
-        visited[0] = True
-        cur = 0
-        for _ in range(n - 1):
-            row = np.where(visited, np.inf, D[cur])
-            cur = int(np.argmin(row))
-            visited[cur] = True
-            order.append(cur)
-        return Tour.from_order(order)
+        return Tour.from_order(_nn_walk(n, lambda v: D[v]))
     # greedy_insertion
     order = [0]
     rest = np.arange(1, n)

@@ -4,7 +4,10 @@ One hand-written loop per caller: the engine's three pivot rules, the
 certifier and the layered path 2-opt, each computing the 2-change gain on
 its own.  The package replaced them with one shared kernel; test_scan_kernel
 checks that the kernel gives the same (i, j, gain) sequences, the same
-certifier verdicts and the same tours as these loops.  ``mst_length`` is the
+certifier verdicts and the same tours as these loops.  ``_nn_path`` is the
+layered module's own nearest-neighbour path through the padding cluster,
+which the package replaced with the engine's walk over coordinate rows; the
+walk must visit the same points in the same order.  ``mst_length`` is the
 dense Prim over a full distance matrix that the package replaced with Prim
 over coordinate rows; the test requires the same weight, bit for bit.
 """
@@ -133,6 +136,19 @@ def certify_scan(pts, order, metric, eps):
         if g > eps and (worst is None or g > worst[0]):
             worst = (g, i, i + 2 + k)
     return worst
+
+
+def _nn_path(pts: np.ndarray, start: int, cluster: np.ndarray, end: int) -> list[int]:
+    """Nearest-neighbor path from ``start`` through all of ``cluster`` to ``end``."""
+    remaining = list(cluster)
+    path: list[int] = []
+    cur = start
+    while remaining:
+        d = vec_dist(pts[cur], pts[remaining], Metric.EUCLIDEAN)
+        k = int(np.argmin(d))
+        cur = remaining.pop(k)
+        path.append(cur)
+    return path
 
 
 def _path_two_opt(pts: np.ndarray, path: list[int], eps: float) -> list[int]:

@@ -73,6 +73,20 @@ def test_gen_from_origins_file(tmp_path):
                    "-o", str(inst_path)) == EXIT_VALIDATION
 
 
+def test_gen_rejects_nan_sigma(tmp_path):
+    out = tmp_path / "x.json"
+    assert run_cli("gen", "--n", "5", "--sigma", "nan", "-o", str(out)) == EXIT_VALIDATION
+    assert not out.exists()
+
+
+def test_gen_rejects_non_finite_origins_file(tmp_path):
+    origins_path = tmp_path / "origins.json"
+    origins_path.write_text("[[0.0, 0.0], [NaN, 1.0], [0.5, 1.0]]")
+    out = tmp_path / "x.json"
+    assert run_cli("gen", "--origins", f"file:{origins_path}", "-o", str(out)) == EXIT_VALIDATION
+    assert not out.exists()
+
+
 def test_gen_requires_n_without_file(tmp_path):
     assert run_cli("gen", "-o", str(tmp_path / "x.json")) == EXIT_VALIDATION
 
@@ -135,6 +149,14 @@ def test_ratio_csv(tmp_path):
 def test_ratio_empty_grid(tmp_path):
     assert run_cli("ratio", "--n", "6", "--sigma-grid", ",",
                    "-o", str(tmp_path / "r.csv")) == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("seeds", ["0", "-1"])
+def test_ratio_rejects_seeds_below_one(tmp_path, seeds):
+    out = tmp_path / "r.csv"
+    assert run_cli("ratio", "--n", "6", "--sigma-grid", "0.1", "--seeds", seeds,
+                   "-o", str(out)) == EXIT_VALIDATION
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

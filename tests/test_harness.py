@@ -91,6 +91,12 @@ def test_parse_config_validates_values():
             parse_config(f"n = 8\nsigma = 0.1\neps = {eps}\n")
     with pytest.raises(ValueError, match="max_iter"):
         parse_config("n = 8\nsigma = 0.1\nmax_iter = -1\n")
+    # caught at parse time, not in the first row that perturbs
+    for sigma in ("nan", "2", "-1"):
+        with pytest.raises(ValueError, match="sigma"):
+            parse_config(f"n = 8\nsigma = 0.1, {sigma}\n")
+    with pytest.raises(ValueError, match="dim"):
+        parse_config("n = 8\nsigma = 0.1\ndim = 0\n")
 
 
 def test_lb_config_needs_p():
@@ -98,6 +104,16 @@ def test_lb_config_needs_p():
         parse_config("experiment = lb\nsigma = 0.0001\n")
     cfg = parse_config("experiment = lb\np = 3\nt = 1\nsigma = 0.0001\n")
     assert cfg.configurations() == [{"p": 3, "t": 1, "sigma": 0.0001}]
+
+
+def test_lb_config_checks_construction_params():
+    # (p, sigma, t) must resolve for every sigma before any row runs
+    with pytest.raises(ValueError, match="p must be"):
+        parse_config("experiment = lb\np = 4\nsigma = 0.0001\n")
+    with pytest.raises(ValueError, match="too large"):
+        parse_config("experiment = lb\np = 3\nsigma = 0.0001, 0.1\n")
+    with pytest.raises(ValueError, match="sigma"):
+        parse_config("experiment = lb\np = 3\nt = 1\nsigma = nan\n")
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +305,11 @@ def test_ratio_experiment_validation():
         ratio_experiment(21, [0.1], seeds=1)
     with pytest.raises(ValueError, match="origin_scale"):
         ratio_experiment(6, [0.1], seeds=1, origin_scale=0.0)
+    for seeds in (0, -1):
+        with pytest.raises(ValueError, match="seeds"):
+            ratio_experiment(6, [0.1], seeds=seeds)
+    with pytest.raises(ValueError, match="sigma"):
+        ratio_experiment(6, [], seeds=1)
 
 
 # ---------------------------------------------------------------------------

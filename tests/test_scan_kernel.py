@@ -3,7 +3,9 @@
 Every scan in the package -- the engine's three pivot rules, the certifier
 and the layered path 2-opt -- runs through one kernel.  These tests replay a
 seeded corpus through both and require identical (i, j, gain) sequences,
-identical certifier verdicts and identical tours, bit for bit.  The MST,
+identical certifier verdicts and identical tours, bit for bit.  The layered
+padding path comes from the engine's nearest-neighbour walk and must visit
+the points the old path did, in the same order.  The MST,
 computed from coordinate rows, must weigh exactly what the reference dense
 Prim over the full matrix gives.
 """
@@ -27,7 +29,8 @@ from twoptlab import (
     run_two_opt,
 )
 from twoptlab import layered
-from twoptlab.tour import _make_change
+from twoptlab.geometry import vec_dist
+from twoptlab.tour import _make_change, _nn_walk
 
 METRICS = ("l1", "l2", "l2sq")
 PIVOTS = ("first", "best", "random")
@@ -112,12 +115,43 @@ def test_path_two_opt_matches_reference():
         assert layered._path_two_opt(pts, path, 1e-15) == scan_oracle._path_two_opt(pts, path, 1e-15)
 
 
+def _cluster_ids(li):
+    """The padding path's left anchor, its cluster (C, then the padding) and right anchor."""
+    rows = li.part_rows()
+    v3 = rows[("V3", li.params.t)]
+    c = v3.size // 2
+    cluster = np.concatenate(([v3[c]], rows[("pad", li.params.t)]))
+    return int(v3[c - 1]), cluster, int(v3[c + 1])
+
+
+@pytest.mark.parametrize("sigma, seeds", [(3e-6, range(6)), (0.0, range(1))], ids=["3e-6", "0"])
+def test_nn_walk_matches_reference_path(sigma, seeds):
+    # at sigma = 0 the padding points coincide with C, so every step is a tie
+    li = build_layered(3, sigma)
+    left, cluster, right = _cluster_ids(li)
+    ids = np.concatenate(([left], cluster))
+    for seed in seeds:
+        pts = li.perturbed(seed).points
+        sub = pts[ids]
+        walk = _nn_walk(ids.size, lambda v: vec_dist(sub[v], sub, "l2"))
+        assert walk[0] == 0
+        assert [int(v) for v in ids[walk[1:]]] == scan_oracle._nn_path(pts, left, cluster, right)
+
+
 def test_build_long_tour_matches_reference(monkeypatch):
     li = build_layered(3, 3e-6)
     insts = [li.perturbed(seed) for seed in range(4)]
     got = [build_long_tour(li, inst).order for inst in insts]
+    # the reference build: the old cluster path (vertex ids mapped to the
+    # walk's positions, [left anchor] + cluster) and the old path 2-opt
+    left, cluster, right = _cluster_ids(li)
+    position = {int(v): k for k, v in enumerate(cluster, start=1)}
     monkeypatch.setattr(layered, "_path_two_opt", scan_oracle._path_two_opt)
-    want = [build_long_tour(li, inst).order for inst in insts]
+    want = []
+    for inst in insts:
+        path = scan_oracle._nn_path(inst.points, left, cluster, right)
+        monkeypatch.setattr(layered, "_nn_walk", lambda n, row: [0] + [position[v] for v in path])
+        want.append(build_long_tour(li, inst).order)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
 

@@ -61,6 +61,14 @@ def test_perturb_rejects_negative_and_large_sigma():
         perturb(origins, 1.5, seed=0)
     inst = perturb(origins, 1.5, seed=0, allow_large_sigma=True)
     assert inst.sigma == 1.5
+    # the override carries over to the JSON it writes
+    assert Instance.from_json(inst.to_json()).sigma == 1.5
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf])
+def test_perturb_rejects_non_finite_sigma(sigma):
+    with pytest.raises(ValueError, match="sigma"):
+        perturb(np.zeros((3, 2)), sigma, seed=0, allow_large_sigma=True)
 
 
 def test_perturb_displacement_variance():
@@ -87,6 +95,17 @@ def test_instance_json_round_trip_bit_exact():
     assert np.array_equal(back.points, inst.points)
     assert np.array_equal(back.origins, inst.origins)
     assert back.sigma == inst.sigma and back.seed == inst.seed and back.dim == inst.dim
+
+
+@pytest.mark.parametrize("text", [
+    '{"dim": 2, "sigma": NaN, "seed": 1, "origins": [[0, 0], [0, 1]], "points": [[0, 0], [0, 1]]}',
+    '{"dim": 2, "sigma": 0.0, "seed": 1, "origins": [[0, 0], [0, NaN]], "points": [[0, 0], [0, 1]]}',
+    '{"dim": 2, "sigma": 0.0, "seed": 1, "origins": [[0, 0], [0, 1]], "points": [[0, 0], [Infinity, 1]]}',
+], ids=["nan-sigma", "nan-origin", "inf-point"])
+def test_instance_json_non_finite_rejected(text):
+    # Python's json reads NaN / Infinity; an instance must not hold them
+    with pytest.raises(ValueError):
+        Instance.from_json(text)
 
 
 def test_instance_json_missing_key_rejected():

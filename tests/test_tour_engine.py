@@ -351,6 +351,15 @@ def test_run_record_json_round_trip_fields():
     assert slim.get("changes") is None
 
 
+def test_run_record_json_key_order():
+    rec = run_two_opt(_random_instance(8, 3), "l2", seed=3)
+    assert list(json.loads(rec.to_json())) == [
+        "seed", "metric", "pivot", "init", "n", "eps", "initial_length",
+        "final_length", "iterations", "min_gain_observed", "converged",
+        "final_order",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # certification and min_improvement
 
