@@ -33,7 +33,7 @@ from .layered import (
     build_long_tour,
     check_containers,
 )
-from .stochastic import Instance, make_origins, perturb
+from .stochastic import ORIGIN_RULES, Instance, make_origins, perturb
 from .tour import PIVOTS, certify_two_optimality, run_two_opt, tour_length
 
 EXIT_OK = 0
@@ -259,7 +259,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--sigma", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--origins", default="uniform",
-                   help="uniform | grid | single-point | file:PATH")
+                   help=" | ".join(ORIGIN_RULES + ("file:PATH",)))
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(handler=_cmd_gen)
 
@@ -289,7 +289,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--restarts", type=int, default=50)
     p.add_argument("--seeds", type=int, default=50)
     p.add_argument("--seed", type=int, default=0, help="base seed")
-    p.add_argument("--origins", choices=["uniform", "grid", "single-point"], default="grid")
+    p.add_argument("--origins", choices=ORIGIN_RULES, default="grid")
     p.add_argument("--origin-scale", type=float, default=0.1,
                    help="multiply the origin layout by this factor (default 0.1)")
     p.add_argument("-o", "--output", required=True)
@@ -326,8 +326,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="run a sweep config into a CSV")
     p.add_argument("--config", required=True)
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (TWOPT_THREADS overrides)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads (default 1)")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(handler=_cmd_sweep)
 

@@ -4,9 +4,9 @@ Sweeps are described by flat ``key = value`` config files (lists are
 comma-separated; unknown keys are rejected).  A sweep expands its config
 into a cartesian product of configurations, runs ``seeds`` tasks per
 configuration, and emits one CSV row per task in canonical
-(config_index, seed_index) order.  Rows are computed in a thread pool --
-the TWOPT_THREADS environment variable overrides the width -- but the
-output is independent of scheduling: every task derives its own RNG seed as
+(config_index, seed_index) order.  Rows are computed in a thread pool of
+the caller's width (default 1, serial), but the output is independent of
+scheduling: every task derives its own RNG seed as
 
     SeedSequence([base_seed, config_index, seed_index]) -> uint64
 
@@ -35,8 +35,9 @@ from scipy.integrate import quad
 
 from .exact import HELD_KARP_MAX_N, held_karp, mst_length, estimate_two_opt_max
 from .geometry import Metric
-from .layered import build_layered, build_long_tour, check_containers, layered_params
+from .layered import _sized_params, build_layered, build_long_tour, check_containers
 from .stochastic import (
+    ORIGIN_RULES,
     _check_sigma,
     chi_inverse_moment,
     chi_pdf,
@@ -65,7 +66,6 @@ __all__ = [
     "parse_config",
     "load_config",
     "task_seed",
-    "resolve_threads",
     "run_sweep",
     "replay_row",
     "write_csv",
@@ -155,7 +155,7 @@ class SweepConfig:
                 _check_pivot(pv)
             for ini in self.init:
                 _rule_token(ini)
-            if self.origins not in ("uniform", "grid", "single-point"):
+            if self.origins not in ORIGIN_RULES:
                 raise ValueError(f"unknown origins rule {self.origins!r}")
             if self.ratio not in ("auto", "exact", "bound", "none"):
                 raise ValueError(f"unknown ratio mode {self.ratio!r}")
@@ -169,7 +169,7 @@ class SweepConfig:
             if not self.sigma:
                 raise ValueError("lb sweep needs sigma = ...")
             for s in self.sigma:
-                layered_params(self.p, s, self.t)
+                _sized_params(self.p, s, self.t)
 
 
 def parse_config(text: str) -> SweepConfig:
@@ -234,24 +234,6 @@ def task_seed(base_seed: int, config_index: int, seed_index: int) -> int:
     """The documented per-task seed derivation (order-independent)."""
     ss = np.random.SeedSequence([base_seed, config_index, seed_index])
     return int(ss.generate_state(1, np.uint64)[0])
-
-
-def resolve_threads(flag: int | None = None) -> int:
-    """Thread-pool width: TWOPT_THREADS env var > explicit flag > cpu count."""
-    env = os.environ.get("TWOPT_THREADS", "").strip()
-    if env:
-        try:
-            width = int(env)
-        except ValueError:
-            raise ValueError(f"TWOPT_THREADS must be an integer, got {env!r}") from None
-        if width < 1:
-            raise ValueError(f"TWOPT_THREADS must be >= 1, got {env!r}")
-        return width
-    if flag is not None:
-        if flag < 1:
-            raise ValueError(f"thread count must be >= 1, got {flag}")
-        return flag
-    return os.cpu_count() or 1
 
 
 ROW_COLUMNS = [
@@ -336,16 +318,18 @@ def _sweep_row(cfg: SweepConfig, confs: list[dict], row_id: int) -> dict:
     return row
 
 
-def run_sweep(cfg: SweepConfig, threads: int | None = None) -> list[dict]:
-    """Run all tasks of a sweep; rows come back in canonical order.
+def run_sweep(cfg: SweepConfig, threads: int = 1) -> list[dict]:
+    """Run all tasks of a sweep on ``threads`` workers; rows come back in canonical order.
 
     The first task to raise stops the sweep: queued tasks are cancelled and
     the exception propagates once the running ones have finished.
     """
+    if threads < 1:
+        raise ValueError(f"thread count must be >= 1, got {threads}")
     cfg.validate()
     confs = cfg.configurations()
     row = functools.partial(_sweep_row, cfg, confs)
-    pool = concurrent.futures.ThreadPoolExecutor(max_workers=resolve_threads(threads))
+    pool = concurrent.futures.ThreadPoolExecutor(max_workers=threads)
     try:
         return list(pool.map(row, range(len(confs) * cfg.seeds)))
     finally:
@@ -461,6 +445,8 @@ def ratio_experiment(
         raise ValueError("ratio experiment needs at least one sigma")
     if origin_scale <= 0.0:
         raise ValueError(f"origin_scale must be positive, got {origin_scale}")
+    for sigma in sigma_grid:
+        _check_sigma(sigma)
     rows = []
     row_id = 0
     for ci, sigma in enumerate(sigma_grid):

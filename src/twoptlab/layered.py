@@ -63,6 +63,9 @@ __all__ = [
     "ratio_lower_bound",
 ]
 
+# build_layered's size budget: p = 3 needs at most 3106 points, p >= 5 over 9.7e6
+MAX_POINTS = 2**20
+
 # Slack for the default-t threshold 3 sigma p^(2t+1) <= 1: natural sigma
 # choices (e.g. 1/6561) are not binary-exact, and the next candidate t
 # changes the product by p^4, so the slack can never flip a genuine case.
@@ -129,6 +132,14 @@ def layered_params(p: int, sigma: float = 0.0, t: int | None = None) -> LayeredP
         p=p, t=t, sigma=float(sigma), P=P, a=a, c=c,
         beta=a[t] / 8.0, padding=p ** (2 * p) - 1,
     )
+
+
+def _sized_params(p: int, sigma: float, t: int | None) -> LayeredParams:
+    """layered_params, refusing constructions above MAX_POINTS points."""
+    params = layered_params(p, sigma, t)
+    if params.n > MAX_POINTS:
+        raise ValueError(f"layered instance p={p} has {params.n} points, over {MAX_POINTS}")
+    return params
 
 
 @dataclasses.dataclass
@@ -224,9 +235,10 @@ def build_layered(p: int, sigma: float = 0.0, t: int | None = None) -> LayeredIn
 
     All coordinates are built as integer numerators over P, so coincident
     points (junction endpoints, the padding cluster) are bit-identical and
-    the unperturbed designated tour certifies at eps = 1e-15.
+    the unperturbed designated tour certifies at eps = 1e-15.  More than
+    MAX_POINTS points (every p >= 5) raise ValueError.
     """
-    params = layered_params(p, sigma, t)
+    params = _sized_params(p, sigma, t)
     t = params.t
     P = params.P
     y_num = [sum(p ** (2 * (p - m) - 1) for m in range(i)) for i in range(t + 1)]

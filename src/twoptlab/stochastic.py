@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 MAX_SIGMA = 1.0  # convention: sigma above this needs an explicit override
+ORIGIN_RULES = ("uniform", "grid", "single-point")  # the layouts of make_origins
 
 
 def _check_sigma(sigma: float, allow_large_sigma: bool = False) -> None:
@@ -225,6 +226,8 @@ def make_origins(rule: str, n: int, dim: int, seed: int) -> np.ndarray:
         raise ValueError(f"need n >= 1 origins, got {n}")
     if dim < 1:
         raise ValueError(f"need dim >= 1, got {dim}")
+    if rule not in ORIGIN_RULES:
+        raise ValueError(f"unknown origins rule {rule!r}")
     if rule == "uniform":
         rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
         return rng.random((n, dim))
@@ -236,9 +239,7 @@ def make_origins(rule: str, n: int, dim: int, seed: int) -> np.ndarray:
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=1)
         return pts[:n].copy()
-    if rule == "single-point":
-        return np.full((n, dim), 0.5)
-    raise ValueError(f"unknown origins rule {rule!r}")
+    return np.full((n, dim), 0.5)
 
 
 # ---------------------------------------------------------------------------

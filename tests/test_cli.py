@@ -210,6 +210,19 @@ def test_lb_build_rejects_even_p(tmp_path):
                    "-o", str(tmp_path / "x.json")) == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("p", ["5", "7"])
+def test_lb_build_over_the_size_budget_exits_1_promptly(tmp_path, p):
+    # p = 5 needs ~1e7 points and p = 7 ~3e12; the subprocess timeout bounds a hang
+    out = tmp_path / "x.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "twoptlab.cli", "lb", "build", "--p", p, "-o", str(out)],
+        capture_output=True, text=True, cwd=tmp_path, env=_checkout_env(), timeout=60,
+    )
+    assert proc.returncode == EXIT_VALIDATION, proc.stderr
+    assert "points" in proc.stderr
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -277,6 +290,16 @@ def test_sweep_unknown_config_key(tmp_path):
     cfg_path.write_text("n = 6\nsigma = 0.1\nturbo = on\n")
     assert run_cli("sweep", "--config", str(cfg_path),
                    "-o", str(tmp_path / "x.csv")) == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_sweep_rejects_threads_below_one(tmp_path, threads):
+    cfg_path = tmp_path / "sweep.cfg"
+    cfg_path.write_text(SWEEP_CONFIG)
+    out = tmp_path / "x.csv"
+    assert run_cli("sweep", "--config", str(cfg_path), "--threads", threads,
+                   "-o", str(out)) == EXIT_VALIDATION
+    assert not out.exists()
 
 
 def test_sweep_missing_config_is_io_error(tmp_path):

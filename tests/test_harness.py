@@ -114,6 +114,10 @@ def test_lb_config_checks_construction_params():
         parse_config("experiment = lb\np = 3\nsigma = 0.0001, 0.1\n")
     with pytest.raises(ValueError, match="sigma"):
         parse_config("experiment = lb\np = 3\nt = 1\nsigma = nan\n")
+    # p = 5 pads to p^10 points: over the size budget at every depth
+    for extra in ("sigma = 1e-8\n", "t = 1\nsigma = 0\n"):
+        with pytest.raises(ValueError, match="points"):
+            parse_config("experiment = lb\np = 5\n" + extra)
 
 
 # ---------------------------------------------------------------------------
@@ -200,11 +204,43 @@ def test_run_sweep_stops_at_first_failure(monkeypatch):
         time.sleep(0.05)
         return {}
 
-    monkeypatch.delenv("TWOPT_THREADS", raising=False)
     monkeypatch.setattr(harness, "_two_opt_row", row)
     with pytest.raises(RuntimeError, match="row 0 failed"):
         run_sweep(SweepConfig(n=(8,), sigma=(0.1,), seeds=50), threads=2)
     assert len(started) < 50
+
+
+def test_run_sweep_default_is_one_worker(monkeypatch):
+    widths = []
+    real_pool = harness.concurrent.futures.ThreadPoolExecutor
+
+    def pool(max_workers):
+        widths.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(harness.concurrent.futures, "ThreadPoolExecutor", pool)
+    run_sweep(SweepConfig(n=(6,), sigma=(0.1,), seeds=2))
+    run_sweep(SweepConfig(n=(6,), sigma=(0.1,), seeds=2), threads=3)
+    assert widths == [1, 3]
+
+
+def test_run_sweep_ignores_thread_env_var(monkeypatch):
+    # the width is the caller's argument alone; no environment variable
+    # overrides it or can make a sweep fail
+    cfg = SweepConfig(n=(6,), sigma=(0.1,), seeds=2)
+    expected = run_sweep(cfg, threads=2)
+    monkeypatch.setenv("TWOPT_THREADS", "zero")
+    assert run_sweep(cfg) == expected
+    assert run_sweep(cfg, threads=2) == expected
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_run_sweep_rejects_width_below_one(monkeypatch, threads):
+    started = []
+    monkeypatch.setattr(harness, "_two_opt_row", lambda *args: started.append(args))
+    with pytest.raises(ValueError, match=">= 1"):
+        run_sweep(SweepConfig(n=(6,), sigma=(0.1,), seeds=2), threads=threads)
+    assert started == []
 
 
 def test_lb_sweep_rows():
@@ -312,6 +348,16 @@ def test_ratio_experiment_validation():
         ratio_experiment(6, [], seeds=1)
 
 
+@pytest.mark.parametrize("grid", [(0.1, 2.0), (0.1, math.nan), (0.1, -0.5)])
+def test_ratio_experiment_checks_the_whole_grid_first(monkeypatch, grid):
+    # a bad sigma late in the grid must fail before the first row runs
+    calls = []
+    monkeypatch.setattr(harness, "estimate_two_opt_max", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match="sigma"):
+        ratio_experiment(6, grid, restarts=2, seeds=2)
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # verification suites
 
@@ -361,23 +407,6 @@ def test_verify_suite_validation():
         verify_suite("ball", samples=0)
     with pytest.raises(ValueError, match=">= 0"):
         verify_suite("chi", samples=-1)
-
-
-def test_resolve_threads_env_override(monkeypatch):
-    from twoptlab.harness import resolve_threads
-
-    monkeypatch.setenv("TWOPT_THREADS", "6")
-    assert resolve_threads(2) == 6
-    monkeypatch.setenv("TWOPT_THREADS", "")  # empty means unset
-    assert resolve_threads(2) == 2
-    monkeypatch.setenv("TWOPT_THREADS", "zero")
-    with pytest.raises(ValueError, match="integer"):
-        resolve_threads()
-    monkeypatch.setenv("TWOPT_THREADS", "0")
-    with pytest.raises(ValueError, match=">= 1"):
-        resolve_threads()
-    monkeypatch.delenv("TWOPT_THREADS")
-    assert resolve_threads(3) == 3
 
 
 def test_verify_report_passed_property():

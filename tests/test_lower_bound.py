@@ -18,6 +18,7 @@ from twoptlab import (
     ratio_lower_bound,
     tour_length,
 )
+from twoptlab.layered import MAX_POINTS
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +105,12 @@ def test_build_rejects_bad_parameters():
         build_layered(2, sigma=0.0, t=1)
     with pytest.raises(ValueError):
         build_layered(3, sigma=0.0, t=4)
+
+
+def test_build_refuses_constructions_over_the_size_budget():
+    assert layered_params(3, 0.0, 3).n <= MAX_POINTS < layered_params(5, 0.0, 1).n
+    with pytest.raises(ValueError, match="points"):
+        build_layered(5, sigma=1e-8)
 
 
 # ---------------------------------------------------------------------------
