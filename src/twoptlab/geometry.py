@@ -88,8 +88,9 @@ def distance(a, b, metric: Metric | str = Metric.EUCLIDEAN) -> float:
 
 
 # Elements of one pairwise_distances block: its (rows, n, d) coordinate
-# differences plus its (rows, n) distances.
-_BLOCK_ELEMENTS = 2**19
+# differences plus its (rows, n) distances.  Small against the matrix, so
+# a matrix build peaks at little more than the matrix itself.
+_BLOCK_ELEMENTS = 2**16
 
 
 def pairwise_distances(points, metric: Metric | str = Metric.EUCLIDEAN) -> np.ndarray:

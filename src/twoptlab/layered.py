@@ -42,6 +42,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from fractions import Fraction
 from typing import IO
 
 import numpy as np
@@ -49,7 +50,9 @@ import numpy as np
 from .exact import mst_length
 from .geometry import Metric, vec_dist
 from .stochastic import Instance, _check_sigma, perturb
-from .tour import Tour, _check_stopping, _nn_walk, _scan, certify_two_optimality, tour_length
+from .tour import (
+    Tour, _check_stopping, _coord_dists, _nn_walk, _scan, certify_two_optimality, tour_length,
+)
 
 __all__ = [
     "LayeredParams",
@@ -83,8 +86,10 @@ def default_t(p: int, sigma: float) -> int:
     _check_sigma(sigma, allow_large_sigma=True)
     if sigma == 0.0:
         return p
+    # exact rational arithmetic: p ** (2t+1) overflows a float for large p
+    bound = 1 + Fraction(_T_RULE_SLACK)
     for t in range(p, 0, -2):
-        if 3.0 * sigma * p ** (2 * t + 1) <= 1.0 + _T_RULE_SLACK:
+        if 3 * Fraction(sigma) * p ** (2 * t + 1) <= bound:
             return t
     raise ValueError(
         f"sigma={sigma} is too large for p={p}: even t=1 violates 3 sigma p^3 <= 1"
@@ -290,15 +295,12 @@ def _path_two_opt(pts: np.ndarray, path: list[int], eps: float) -> list[int]:
     no reversal certifies path-local optimality.
     """
     ids = np.asarray(path, dtype=np.int64)
-
-    def dist(x, ys):
-        return vec_dist(x, ys, Metric.EUCLIDEAN)
-
     row, applied = 0, False
     while True:
         p = pts[ids]
-        hit = _scan("first", eps, dist(p[:-1], p[1:]), p[:-1], p[1:], dist,
-                    closed=False, start=row)
+        a, b = p[:-1], p[1:]
+        hit = _scan("first", eps, vec_dist(a, b, Metric.EUCLIDEAN),
+                    _coord_dists(a, b, Metric.EUCLIDEAN), closed=False, start=row)
         if hit is None:
             if not applied:
                 return [int(v) for v in ids]

@@ -8,15 +8,23 @@ between.  Its gain is positive when the tour gets shorter.
 
 One gain kernel serves every scan: row i holds the gains of the pairs
 (i, j), j >= i+2, skipping the adjacent wrap-around pair (0, n-1) on a
-closed tour.  The engine reads the kernel's distances from the matrix, the
-certifier and the layered path 2-opt from coordinates; the arithmetic is the
-same, so both see bit-identical gains.  A pivot rule is a reduction over the
-rows, taken in lexicographic order:
+closed tour.  The kernel computes a block of rows at once, about
+``_SCAN_BLOCK`` gains, as one array expression; a pivot rule is a reduction
+over the blocks, each read in row-major, that is lexicographic, order:
 
-* ``first``  -- the first pair with gain > eps;
+* ``first``  -- the first pair with gain > eps (its blocks start small and
+  grow, since the scan usually stops early);
 * ``best``   -- the maximum gain, earliest pair on ties;
 * ``random`` -- uniform over all improving pairs: count, then pick (needs a
   seed).
+
+``run_two_opt`` holds one (n+1) x (n+1) position matrix per run,
+P[a, b] = d(order[a % n], order[b % n]).  The tour's edge lengths are its
+first superdiagonal and the kernel's distance blocks are plain slices of
+it; each applied change reverses the matching rows and columns in place.
+``find_improving``, ``certify_two_optimality`` and the layered path 2-opt
+scan once, so they compute their blocks from coordinates.  The arithmetic
+is the same, so every caller sees bit-identical gains.
 
 ``run_two_opt`` iterates scan+apply until no improving pair remains and
 certifies termination with a final full scan.  eps must be finite and > 0:
@@ -258,38 +266,20 @@ def initial_tour(
     "nearest_neighbor" (start at vertex 0, ties to the smallest index) and
     "greedy_insertion" (cheapest insertion from vertex 0; ties prefer the
     smallest vertex, then the earliest tour edge).  Only "random" consumes
-    randomness; ``seed`` may be an int or a numpy Generator.
+    randomness; ``seed`` may be an int or a numpy Generator.  The
+    nearest-neighbour walk reads coordinate rows; only greedy insertion
+    builds a distance matrix, and frees it on return.
     """
     pts = _coords(inst_or_points)
     rule = _rule_token(rule)
-    D = None if rule == "random" else pairwise_distances(pts, metric)
-    return _start_tour(pts.shape[0], rule, seed, D)
-
-
-def _nn_walk(n: int, row) -> list[int]:
-    """Nearest-neighbour order of vertices 0..n-1 from vertex 0.
-
-    ``row(v)`` gives the distances from v to all n vertices; each step moves
-    to the nearest unvisited vertex, ties to the smallest index.
-    """
-    visited = np.zeros(n, dtype=bool)
-    order = [0]
-    visited[0] = True
-    for _ in range(n - 1):
-        cur = int(np.argmin(np.where(visited, np.inf, row(order[-1]))))
-        visited[cur] = True
-        order.append(cur)
-    return order
-
-
-def _start_tour(n: int, rule: str, seed, D: np.ndarray | None) -> Tour:
-    """initial_tour for a canonical rule; D is the distance matrix (unused by "random")."""
+    n = pts.shape[0]
     if rule == "random":
         rng = np.random.default_rng(seed)
         return Tour.from_order(rng.permutation(n))
     if rule == "nearest_neighbor":
-        return Tour.from_order(_nn_walk(n, lambda v: D[v]))
+        return Tour.from_order(_nn_walk(n, lambda v: vec_dist(pts[v], pts, metric)))
     # greedy_insertion
+    D = pairwise_distances(pts, metric)
     order = [0]
     rest = np.arange(1, n)
     if rest.size:
@@ -308,63 +298,123 @@ def _start_tour(n: int, rule: str, seed, D: np.ndarray | None) -> Tour:
     return Tour.from_order(order)
 
 
+def _nn_walk(n: int, row) -> list[int]:
+    """Nearest-neighbour order of vertices 0..n-1 from vertex 0.
+
+    ``row(v)`` gives the distances from v to all n vertices; each step moves
+    to the nearest unvisited vertex, ties to the smallest index.
+    """
+    visited = np.zeros(n, dtype=bool)
+    order = [0]
+    visited[0] = True
+    for _ in range(n - 1):
+        cur = int(np.argmin(np.where(visited, np.inf, row(order[-1]))))
+        visited[cur] = True
+        order.append(cur)
+    return order
+
+
 # ---------------------------------------------------------------------------
 # scans
 
+# Gains per kernel block, and in the first block of a first-improvement scan
+# (it grows by doubling): a scan that stops early stays cheap, and a small
+# instance is one block.  Also the element budget of a matrix flip.
+_SCAN_BLOCK = 2**15
+_SCAN_FIRST = 2**10
+# A block has at most isqrt(_SCAN_BLOCK) rows (see _blocks); its pairs
+# (i, j) with j < i + 2 lie strictly below this triangle's diagonal.
+_BELOW = np.tri(math.isqrt(_SCAN_BLOCK) + 1, k=-1, dtype=bool)
 
-def _scan(pivot: str, eps: float, el: np.ndarray, a, b, dist,
+
+def _blocks(m: int, start: int, budget: int):
+    """Row ranges [i0, i1) covering rows start..m-3, about ``budget`` gains each.
+
+    Row i pairs with the columns i+2..m-1, so a block of rows [i0, i1) spans
+    the columns i0+2..m-1.  The budget doubles after each block up to
+    _SCAN_BLOCK.  A block never has more rows than columns, so rows**2 <=
+    budget.
+    """
+    i0 = start
+    while i0 < m - 2:
+        cols = m - i0 - 2
+        i1 = i0 + max(1, min(cols, budget // cols))
+        yield i0, i1
+        i0, budget = i1, min(2 * budget, _SCAN_BLOCK)
+
+
+def _scan(pivot: str, eps: float, el: np.ndarray, dists,
           closed: bool = True, start: int = 0, rng: np.random.Generator | None = None):
     """The pair (i, j, gain) the pivot rule picks among gains > eps, or None.
 
-    Edge k runs from a[k] to b[k] and has length el[k]; dist(x, ys) gives the
-    distances from one endpoint x to the endpoints ys.  Row i of the kernel
-    holds the gains of the pairs (i, j), i+2 <= j < len(el); on a closed tour
-    the adjacent pair (0, last) is left out.  Rows before ``start`` are not
-    scanned.
+    Edge k has length el[k]; the pair (i, j), i+2 <= j < len(el), has gain
+    el[i] + el[j] - d13 - d24, where ``dists(i0, i1, c0)`` gives the blocks
+    d13 and d24 of the pairs with rows i0..i1-1 and columns c0.. (the
+    distances between the first and between the second endpoints of the two
+    edges).  On a closed tour the adjacent pair (0, last) is left out.  Rows
+    before ``start`` are not scanned.  Blocks are reduced in row-major, that
+    is lexicographic, order.
     """
     m = el.size
-    rows = range(start, m - 2)
 
-    def gains(i: int) -> np.ndarray:
-        hi = m - 1 if closed and i == 0 else m
-        return el[i] + el[i + 2 : hi] - dist(a[i], a[i + 2 : hi]) - dist(b[i], b[i + 2 : hi])
+    def gains(i0: int, i1: int) -> np.ndarray:
+        c0 = i0 + 2
+        d13, d24 = dists(i0, i1, c0)
+        g = np.add(el[i0:i1, None], el[None, c0:])
+        g -= d13
+        g -= d24
+        rows = i1 - i0
+        g[:, :rows][_BELOW[:rows, :rows]] = -np.inf
+        if closed and i0 == 0:
+            g[0, -1] = -np.inf
+        return g
+
+    def pair(i0: int, g: np.ndarray, k: int):
+        r, c = divmod(k, g.shape[1])
+        return i0 + r, i0 + 2 + c, float(g[r, c])
 
     if pivot == "first":
-        for i in rows:
-            g = gains(i)
-            good = np.flatnonzero(g > eps)
-            if good.size:
-                k = int(good[0])
-                return i, i + 2 + k, float(g[k])
+        for i0, i1 in _blocks(m, start, _SCAN_FIRST):
+            g = gains(i0, i1)
+            good = g > eps
+            k = int(np.argmax(good))
+            if good.flat[k]:
+                return pair(i0, g, k)
         return None
     if pivot == "best":
         best = None
-        for i in rows:
-            g = gains(i)
-            if g.size:
-                k = int(np.argmax(g))
-                gk = float(g[k])
-                if gk > eps and (best is None or gk > best[2]):
-                    best = (i, i + 2 + k, gk)
+        for i0, i1 in _blocks(m, start, _SCAN_BLOCK):
+            g = gains(i0, i1)
+            k = int(np.argmax(g))
+            if g.flat[k] > eps and (best is None or g.flat[k] > best[2]):
+                best = pair(i0, g, k)
         return best
-    counts = [int(np.count_nonzero(gains(i) > eps)) for i in rows]
+    blocks = list(_blocks(m, start, _SCAN_BLOCK))
+    counts = [int(np.count_nonzero(gains(i0, i1) > eps)) for i0, i1 in blocks]
     total = sum(counts)
     if total == 0:
         return None
     r = int(rng.integers(total))
-    for i, count in zip(rows, counts):
+    for (i0, i1), count in zip(blocks, counts):
         if r < count:
-            g = gains(i)
-            k = int(np.flatnonzero(g > eps)[r])
-            return i, i + 2 + k, float(g[k])
+            g = gains(i0, i1)
+            return pair(i0, g, int(np.flatnonzero(g > eps)[r]))
         r -= count
     raise AssertionError("unreachable: improving-pair index out of range")
 
 
-def _scan_tour(D: np.ndarray, order: np.ndarray, pivot: str, eps: float, rng=None):
-    """_scan over the closed tour ``order``, distances read from the matrix D."""
-    nxt = np.roll(order, -1)
-    return _scan(pivot, eps, D[order, nxt], order, nxt, lambda x, ys: D[x][ys], rng=rng)
+def _coord_dists(a: np.ndarray, b: np.ndarray, metric):
+    """Kernel blocks from coordinates: edge k runs from point a[k] to point b[k]."""
+    def dists(i0: int, i1: int, c0: int):
+        return (vec_dist(a[i0:i1, None], a[None, c0:], metric),
+                vec_dist(b[i0:i1, None], b[None, c0:], metric))
+    return dists
+
+
+def _scan_points(p: np.ndarray, metric, pivot: str, eps: float, rng=None):
+    """_scan over the closed tour through the points p, distances from coordinates."""
+    pn = np.roll(p, -1, axis=0)
+    return _scan(pivot, eps, vec_dist(p, pn, metric), _coord_dists(p, pn, metric), rng=rng)
 
 
 def _make_change(order: np.ndarray, i: int, j: int, gain: float) -> TwoChange:
@@ -374,17 +424,40 @@ def _make_change(order: np.ndarray, i: int, j: int, gain: float) -> TwoChange:
     return TwoChange(removed=((x1, x2), (x3, x4)), added=((x1, x3), (x2, x4)), gain=gain)
 
 
-def _reverse_segment(order: np.ndarray, i: int, j: int) -> np.ndarray:
-    """Reverse positions i+1..j (inclusive); picks the shorter side, ties inner."""
+def _flip(P: np.ndarray, lo: int, hi: int) -> None:
+    """Reverse rows and columns lo..hi-1 of P in place, swapping a few at a time."""
+    half = (hi - lo) // 2
+    step = max(1, _SCAN_BLOCK // P.shape[0])
+    for k in range(0, half, step):
+        e = min(k + step, half)
+        top, bottom = slice(lo + k, lo + e), slice(hi - e, hi - k)
+        tmp = P[top].copy()
+        P[top] = P[bottom][::-1]
+        P[bottom] = tmp[::-1]
+        tmp = P[:, top].copy()
+        P[:, top] = P[:, bottom][:, ::-1]
+        P[:, bottom] = tmp[:, ::-1]
+
+
+def _reverse_segment(order: np.ndarray, i: int, j: int, P: np.ndarray | None = None) -> np.ndarray:
+    """Reverse positions i+1..j (inclusive) in place; picks the shorter side, ties inner.
+
+    The outer side is reversed as three flips -- positions i+1..j, then
+    0..i, then i+1..n-1 -- which leaves the order rotated: it starts at
+    order[i].  ``P``, the (n+1) x (n+1) position matrix of ``order``, is
+    kept in step; its wrap row and column n are copies of row and column 0.
+    """
     n = order.size
-    inner = j - i
-    if inner <= n - inner:
-        order[i + 1 : j + 1] = order[i + 1 : j + 1][::-1]
-        return order
-    rolled = np.roll(order, -(j + 1) % n)
-    k = n - inner
-    rolled[:k] = rolled[:k][::-1]
-    return rolled
+    flips = [(i + 1, j + 1)]
+    if 2 * (j - i) > n:
+        flips += [(0, i + 1), (i + 1, n)]
+    for lo, hi in flips:
+        order[lo:hi] = order[lo:hi][::-1]
+        if P is not None:
+            _flip(P, lo, hi)
+            P[n] = P[0]
+            P[:, n] = P[:, 0]
+    return order
 
 
 def find_improving(
@@ -395,13 +468,15 @@ def find_improving(
     eps: float = 1e-12,
     seed: int | np.random.Generator | None = None,
 ) -> TwoChange | None:
-    """Search the tour for an improving 2-change under the pivot rule."""
+    """Search the tour for an improving 2-change under the pivot rule.
+
+    One scan, so it reads distances from coordinates (no n x n matrix).
+    """
     _check_pivot(pivot)
     _check_stopping(eps)
     pts = _coords(inst_or_points)
     order = _tour_order(tour, pts.shape[0])
-    D = pairwise_distances(pts, metric)
-    hit = _scan_tour(D, order, pivot, eps, np.random.default_rng(seed))
+    hit = _scan_points(pts[order], metric, pivot, eps, np.random.default_rng(seed))
     if hit is None:
         return None
     return _make_change(order, *hit)
@@ -472,16 +547,22 @@ def run_two_opt(
     pts = _coords(inst_or_points)
     n = pts.shape[0]
     rng = np.random.default_rng(seed)
-    D = pairwise_distances(pts, metric)
-    order = _start_tour(n, rule, rng, D).order.copy()
-    initial_length = float(D[order, np.roll(order, -1)].sum())
+    order = initial_tour(pts, metric, rule, rng).order.copy()
+    # the position matrix P[a, b] = d(order[a % n], order[b % n]): the tour's
+    # edges lie on its first superdiagonal and the kernel's blocks are slices
+    P = pairwise_distances(pts[np.append(order, order[0])], metric)
+    el = P.diagonal(1)
+    initial_length = float(el.sum())
+
+    def dists(i0: int, i1: int, c0: int):
+        return P[i0:i1, c0:n], P[i0 + 1 : i1 + 1, c0 + 1 :]
 
     changes: list[TwoChange] = []
     iterations = 0
     min_gain: float | None = None
     converged = False
     while True:
-        hit = _scan_tour(D, order, pivot, eps, rng)
+        hit = _scan(pivot, eps, el, dists, rng=rng)
         if hit is None:
             converged = True
             break
@@ -493,10 +574,10 @@ def run_two_opt(
             changes.append(_make_change(order, i, j, gain))
         iterations += 1
         min_gain = gain if min_gain is None else min(min_gain, gain)
-        order = _reverse_segment(order, i, j)
+        order = _reverse_segment(order, i, j, P)
 
     final_tour = Tour.from_order(order)
-    final_length = float(D[final_tour.order, np.roll(final_tour.order, -1)].sum())
+    final_length = float(np.roll(el, -int(np.flatnonzero(order == 0)[0])).sum())
     return RunRecord(
         seed=int(seed),
         metric=Metric.parse(metric).value,
@@ -528,9 +609,7 @@ def certify_two_optimality(
     _check_stopping(eps)
     pts = _coords(inst_or_points)
     order = _tour_order(tour, pts.shape[0])
-    p = pts[order]
-    pn = np.roll(p, -1, axis=0)
-    worst = _scan("best", eps, vec_dist(p, pn, metric), p, pn, lambda x, ys: vec_dist(x, ys, metric))
+    worst = _scan_points(pts[order], metric, "best", eps)
     if worst is None:
         return None
     i, j, g = worst

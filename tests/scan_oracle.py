@@ -4,7 +4,11 @@ One hand-written loop per caller: the engine's three pivot rules, the
 certifier and the layered path 2-opt, each computing the 2-change gain on
 its own.  The package replaced them with one shared kernel; test_scan_kernel
 checks that the kernel gives the same (i, j, gain) sequences, the same
-certifier verdicts and the same tours as these loops.  ``_nn_path`` is the
+certifier verdicts and the same tours as these loops.  ``_reverse_segment``
+is the engine's old segment reversal (a roll on the outer side), which the
+package replaced with in-place flips of the order and its position matrix;
+the reference run applies it, so the runs must also agree on every order.
+``_nn_path`` is the
 layered module's own nearest-neighbour path through the padding cluster,
 which the package replaced with the engine's walk over coordinate rows; the
 walk must visit the same points in the same order.  ``mst_length`` is the
@@ -15,7 +19,7 @@ over coordinate rows; the test requires the same weight, bit for bit.
 import numpy as np
 
 from twoptlab.geometry import Metric, pairwise_distances, vec_dist
-from twoptlab.tour import Tour, _coords, _make_change, _reverse_segment, initial_tour
+from twoptlab.tour import Tour, _coords, _make_change, initial_tour
 
 # Scans work on (D, order) with edge i = (order[i], order[(i+1) % n]).
 # Candidate pairs: j in [i+2, n-1], minus (0, n-1); i runs to n-3.
@@ -86,6 +90,19 @@ def _scan_random(D: np.ndarray, order: np.ndarray, eps: float, rng: np.random.Ge
         k = int(good[r])
         return i, int(js[k]), float(gains[k])
     raise AssertionError("unreachable: improving-pair index out of range")
+
+
+def _reverse_segment(order: np.ndarray, i: int, j: int) -> np.ndarray:
+    """Reverse positions i+1..j (inclusive); picks the shorter side, ties inner."""
+    n = order.size
+    inner = j - i
+    if inner <= n - inner:
+        order[i + 1 : j + 1] = order[i + 1 : j + 1][::-1]
+        return order
+    rolled = np.roll(order, -(j + 1) % n)
+    k = n - inner
+    rolled[:k] = rolled[:k][::-1]
+    return rolled
 
 
 def scan(D, order, pivot, eps, rng=None):

@@ -223,6 +223,19 @@ def test_lb_build_over_the_size_budget_exits_1_promptly(tmp_path, p):
     assert not out.exists()
 
 
+def test_lb_build_large_p_with_sigma_exits_1(tmp_path):
+    # the default-t rule meets p ** (2t+1) far beyond the float range here
+    out = tmp_path / "x.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "twoptlab.cli", "lb", "build", "--p", "101", "--sigma", "1e-4",
+         "-o", str(out)],
+        capture_output=True, text=True, cwd=tmp_path, env=_checkout_env(), timeout=60,
+    )
+    assert proc.returncode == EXIT_VALIDATION, proc.stderr
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # verify
 

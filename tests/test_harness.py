@@ -114,6 +114,8 @@ def test_lb_config_checks_construction_params():
         parse_config("experiment = lb\np = 3\nsigma = 0.0001, 0.1\n")
     with pytest.raises(ValueError, match="sigma"):
         parse_config("experiment = lb\np = 3\nt = 1\nsigma = nan\n")
+    with pytest.raises(ValueError, match="too large"):
+        parse_config("experiment = lb\np = 101\nsigma = 1e-4\n")
     # p = 5 pads to p^10 points: over the size budget at every depth
     for extra in ("sigma = 1e-8\n", "t = 1\nsigma = 0\n"):
         with pytest.raises(ValueError, match="points"):

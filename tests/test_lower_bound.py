@@ -107,6 +107,14 @@ def test_build_rejects_bad_parameters():
         build_layered(3, sigma=0.0, t=4)
 
 
+def test_default_t_does_not_overflow_for_large_p():
+    # 101 ** 203 is beyond the float range; the rule compares exact rationals
+    for call in (default_t, layered_params, build_layered):
+        with pytest.raises(ValueError, match="too large for p=101"):
+            call(101, 1e-4)
+    assert default_t(101, 1e-300) == 73  # 3e-300 * 101 ** 147 <= 1 < 3e-300 * 101 ** 151
+
+
 def test_build_refuses_constructions_over_the_size_budget():
     assert layered_params(3, 0.0, 3).n <= MAX_POINTS < layered_params(5, 0.0, 1).n
     with pytest.raises(ValueError, match="points"):

@@ -1,21 +1,27 @@
 """The shared gain kernel against the reference scan loops in scan_oracle.
 
 Every scan in the package -- the engine's three pivot rules, the certifier
-and the layered path 2-opt -- runs through one kernel.  These tests replay a
-seeded corpus through both and require identical (i, j, gain) sequences,
-identical certifier verdicts and identical tours, bit for bit.  The layered
+and the layered path 2-opt -- runs through one blocked kernel.  These tests
+replay a seeded corpus through both and require identical (i, j, gain)
+sequences, identical certifier verdicts and identical tours, bit for bit,
+at the kernel's block sizes and at tiny ones that split small instances
+into many blocks.  The engine's position matrix must follow every applied
+change exactly, and a run must hold no more than one such matrix.  The layered
 padding path comes from the engine's nearest-neighbour walk and must visit
 the points the old path did, in the same order.  The MST,
 computed from coordinate rows, must weigh exactly what the reference dense
 Prim over the full matrix gives.
 """
 
+import collections
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import scan_oracle
+import twoptlab.tour
 from twoptlab import (
     Tour,
     build_layered,
@@ -45,8 +51,18 @@ def _corpus(seeds):
         yield n, seed, make_origins("grid", n, 2, seed)
 
 
-@pytest.mark.parametrize("metric,pivot,init", itertools.product(METRICS, PIVOTS, INITS))
-def test_runs_match_reference_scans(metric, pivot, init):
+@pytest.fixture
+def tiny_blocks(monkeypatch):
+    """Kernel blocks of 16 gains, a first-pivot schedule starting at 4.
+
+    Small instances then take many blocks: a scan crosses block edges, the
+    first pivot's blocks grow, and the picked pair can sit in any block.
+    """
+    monkeypatch.setattr(twoptlab.tour, "_SCAN_BLOCK", 16)
+    monkeypatch.setattr(twoptlab.tour, "_SCAN_FIRST", 4)
+
+
+def _check_runs(metric, pivot, init):
     for n, seed, pts in _corpus(range(2)):
         rec = run_two_opt(pts, metric, init=init, pivot=pivot, seed=seed)
         changes, final_order = scan_oracle.run_two_opt(pts, metric, init, pivot, 1e-12, seed)
@@ -55,8 +71,17 @@ def test_runs_match_reference_scans(metric, pivot, init):
         assert rec.converged
 
 
-@pytest.mark.parametrize("metric", METRICS)
-def test_find_improving_matches_reference_scans(metric):
+@pytest.mark.parametrize("metric,pivot,init", itertools.product(METRICS, PIVOTS, INITS))
+def test_runs_match_reference_scans(metric, pivot, init):
+    _check_runs(metric, pivot, init)
+
+
+@pytest.mark.parametrize("metric,pivot,init", itertools.product(METRICS, PIVOTS, INITS))
+def test_runs_in_tiny_blocks_match_reference_scans(tiny_blocks, metric, pivot, init):
+    _check_runs(metric, pivot, init)
+
+
+def _check_find_improving(metric):
     for n, seed, pts in _corpus(range(4)):
         D = pairwise_distances(pts, metric)
         tour = Tour.from_order(np.random.default_rng(seed).permutation(n))
@@ -68,7 +93,16 @@ def test_find_improving_matches_reference_scans(metric):
 
 
 @pytest.mark.parametrize("metric", METRICS)
-def test_certify_matches_reference_loop(metric):
+def test_find_improving_matches_reference_scans(metric):
+    _check_find_improving(metric)
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_find_improving_in_tiny_blocks_matches_reference_scans(tiny_blocks, metric):
+    _check_find_improving(metric)
+
+
+def _check_certify(metric):
     for n, seed, pts in _corpus(range(4)):
         tours = [
             Tour.from_order(np.random.default_rng(seed).permutation(n)),
@@ -81,6 +115,51 @@ def test_certify_matches_reference_loop(metric):
                 assert got is None
             else:
                 assert (got.gain, got.i, got.j) == want
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_certify_matches_reference_loop(metric):
+    _check_certify(metric)
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_certify_in_tiny_blocks_matches_reference_loop(tiny_blocks, metric):
+    _check_certify(metric)
+
+
+@pytest.mark.parametrize("n", [7, 8, 13, 16])
+def test_position_matrix_tracks_the_order(monkeypatch, n):
+    # after every applied change the engine's matrix must be the position
+    # matrix of the new order, bit for bit; at even n a change can reverse
+    # exactly half the tour, the tie between its two sides
+    reverse = twoptlab.tour._reverse_segment
+    sides = collections.Counter()
+
+    def checked(order, i, j, P=None):
+        sides[np.sign(2 * (j - i) - order.size)] += 1
+        order = reverse(order, i, j, P)
+        assert np.array_equal(P, pairwise_distances(pts[np.append(order, order[0])], metric))
+        return order
+
+    monkeypatch.setattr(twoptlab.tour, "_reverse_segment", checked)
+    for metric, pivot, seed in itertools.product(METRICS, PIVOTS, range(8)):
+        pts = perturb(make_origins("uniform", n, 2, seed), 0.3, seed).points
+        run_two_opt(pts, metric, init="random", pivot=pivot, seed=seed)
+    assert sides[-1] and sides[1] and (n % 2 or sides[0])
+
+
+def test_run_holds_one_position_matrix():
+    # the run's peak allocation: one (n+1) x (n+1) matrix plus bounded blocks
+    n = 600
+    pts = make_origins("uniform", n, 2, 0)
+    run_two_opt(pts[:20], "l2", init="nn")
+    tracemalloc.start()
+    try:
+        run_two_opt(pts, "l2", init="nn", pivot="first")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * (n + 1) ** 2
 
 
 @pytest.mark.parametrize("metric", METRICS)
@@ -106,6 +185,14 @@ def test_adjacent_wrap_pair_is_never_a_candidate(metric):
 
 
 def test_path_two_opt_matches_reference():
+    _check_path_two_opt()
+
+
+def test_path_two_opt_in_tiny_blocks_matches_reference(tiny_blocks):
+    _check_path_two_opt()
+
+
+def _check_path_two_opt():
     # clusters of coincident and nearly coincident points, the padding regime
     for seed in range(6):
         rng = np.random.default_rng(seed)
