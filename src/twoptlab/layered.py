@@ -34,7 +34,8 @@ is traversed along the engine's nearest-neighbour walk over coordinate
 rows (from C's left bridge neighbor), refined by a path-restricted 2-opt
 (anchored at C's bridge neighbors), and each coincident junction pair is
 visited in the order that minimizes the two incident edges.  The ground
-truth is always ``certify_two_optimality``, which re-scans every pair.
+truth is always ``certify_two_optimality``, which rules on every pair (it
+evaluates those a ball query cannot rule out, with an exact bound).
 """
 
 from __future__ import annotations

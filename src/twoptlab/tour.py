@@ -22,9 +22,26 @@ over the blocks, each read in row-major, that is lexicographic, order:
 P[a, b] = d(order[a % n], order[b % n]).  The tour's edge lengths are its
 first superdiagonal and the kernel's distance blocks are plain slices of
 it; each applied change reverses the matching rows and columns in place.
-``find_improving``, ``certify_two_optimality`` and the layered path 2-opt
-scan once, so they compute their blocks from coordinates.  The arithmetic
-is the same, so every caller sees bit-identical gains.
+The layered path 2-opt computes its blocks from coordinates.  The
+arithmetic is the same, so every caller sees bit-identical gains.
+
+``find_improving`` and ``certify_two_optimality`` scan once from
+coordinates, and on a tour with few long edges they evaluate only the pairs
+that a KD-tree ball query cannot rule out (fixed-radius near neighbours,
+Bentley 1992, used as an exact filter).  The filter is exact: write
+el_i = d(x1,x2), el_j = d(x3,x4), and let tau be an ulp of 2 max(el).  If
+the computed d13 = d(x1,x3) >= el_i + tau and d24 = d(x2,x4) >= el_j + tau,
+the kernel's left-to-right ``(el_i + el_j) - d13 - d24`` is <= 0: the first
+sum rounds up by at most tau, so the first subtraction stays <= el_j, and
+the second is then <= -tau.  So every pair with gain > eps > 0 has x3 in the
+ball of radius el_i + tau around x1 (which gives j) or x2 in the ball of
+radius el_j + tau around x4 (which gives i + 1).  The radii are inflated by
+a relative 2^-40 to cover the tree's own rounding; l1 is queried with p = 1,
+and l2sq as an l2 ball of the square-root radius.  The candidates' gains are
+computed with the kernel's arithmetic and reduced in lexicographic order,
+with the same random draw, so the pick is the blocked kernel's, bit for bit.
+When the balls hold more than ``_PRUNE_SHARE`` of the pairs (a random tour,
+say) the blocked kernel is faster and runs instead.
 
 ``run_two_opt`` iterates scan+apply until no improving pair remains and
 certifies termination with a final full scan.  eps must be finite and > 0:
@@ -44,11 +61,13 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import itertools
 import json
 import math
 from typing import IO, Sequence
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .geometry import Metric, as_points, pairwise_distances, vec_dist
 
@@ -278,24 +297,54 @@ def initial_tour(
         return Tour.from_order(rng.permutation(n))
     if rule == "nearest_neighbor":
         return Tour.from_order(_nn_walk(n, lambda v: vec_dist(pts[v], pts, metric)))
-    # greedy_insertion
+    # greedy_insertion: each remaining vertex keeps its cheapest insertion
+    # cost and the position of the earliest tour edge that attains it.  An
+    # insertion replaces one edge by two, so only the vertices whose best
+    # edge was the replaced one are priced against the whole tour again.
     D = pairwise_distances(pts, metric)
-    order = [0]
+    order = np.zeros(1, dtype=np.int64)
     rest = np.arange(1, n)
     if rest.size:
-        v = int(rest[np.argmin(D[0, rest])])
-        order.append(v)
+        v = rest[np.argmin(D[0, rest])]
+        order = np.append(order, v)
         rest = rest[rest != v]
+    cost, edge = _cheapest_insertions(D, order, rest)
     while rest.size:
-        a = np.asarray(order)
-        b = np.roll(a, -1)
-        cost = D[a][:, rest] + D[b][:, rest] - D[a, b][:, None]
-        per_vertex = cost.min(axis=0)
-        k = int(np.argmin(per_vertex))
-        e = int(np.argmin(cost[:, k]))
-        order.insert(e + 1, int(rest[k]))
-        rest = np.delete(rest, k)
+        k = int(np.argmin(cost))
+        e, v = int(edge[k]), rest[k]
+        a, b = order[e], order[(e + 1) % order.size]
+        order = np.insert(order, e + 1, v)
+        rest, cost, edge = np.delete(rest, k), np.delete(cost, k), np.delete(edge, k)
+        stale = edge == e
+        edge[edge > e] += 1
+        for pos, x, y in ((e, a, v), (e + 1, v, b)):
+            c = D[x, rest] + D[y, rest] - D[x, y]
+            take = (c < cost) | ((c == cost) & (pos < edge))
+            cost[take], edge[take] = c[take], pos
+        if stale.any():
+            cost[stale], edge[stale] = _cheapest_insertions(D, order, rest[stale])
     return Tour.from_order(order)
+
+
+def _cheapest_insertions(D: np.ndarray, order: np.ndarray, ws: np.ndarray):
+    """Per vertex of ws: the cheapest insertion cost D[a,w] + D[b,w] - D[a,b]
+    over the tour edges (a, b), and the position of the earliest edge attaining it.
+
+    Priced in blocks of about _SCAN_BLOCK costs, so a call holds no large
+    temporaries.
+    """
+    a, b = order, np.roll(order, -1)
+    ab = D[a, b]
+    cost, edge = np.empty(ws.size), np.empty(ws.size, dtype=np.int64)
+    step = max(1, _SCAN_BLOCK // order.size)
+    for r0 in range(0, ws.size, step):
+        w = ws[r0 : r0 + step, None]
+        c = D[w, a]  # D is symmetric, so rows of w read as the columns D[a, w]
+        c += D[w, b]
+        c -= ab
+        edge[r0 : r0 + step] = np.argmin(c, axis=1)
+        cost[r0 : r0 + step] = c.min(axis=1)
+    return cost, edge
 
 
 def _nn_walk(n: int, row) -> list[int]:
@@ -325,6 +374,12 @@ _SCAN_FIRST = 2**10
 # A block has at most isqrt(_SCAN_BLOCK) rows (see _blocks); its pairs
 # (i, j) with j < i + 2 lie strictly below this triangle's diagonal.
 _BELOW = np.tri(math.isqrt(_SCAN_BLOCK) + 1, k=-1, dtype=bool)
+# A coordinate scan evaluates only its ball candidates while the ball
+# points number at most this share of the n(n-3)/2 pairs.  A candidate costs
+# about 0.5-0.9 us (Python lists from the tree) and a pair of the blocked
+# kernel about 70-110 ns; on partly shuffled 2-opt tours at n = 400 and 1500
+# the two took equal time at a share of about 0.16 and 0.13.
+_PRUNE_SHARE = 1 / 16
 
 
 def _blocks(m: int, start: int, budget: int):
@@ -411,10 +466,70 @@ def _coord_dists(a: np.ndarray, b: np.ndarray, metric):
     return dists
 
 
+def _ball_keys(p: np.ndarray, pn: np.ndarray, el: np.ndarray, metric) -> np.ndarray | None:
+    """Sorted keys i*n + j of the pairs a ball query cannot rule out, or None if too many.
+
+    Edge k runs from p[k] to pn[k] and has length el[k].  A pair (i, j) is a
+    candidate when p[j] lies in the ball of radius el[i] + tau around p[i],
+    or p[i+1] in the ball of radius el[j] + tau around p[j+1] (see the module
+    docstring); one tree over p answers both queries.  The pairs j < i + 2
+    and the closed tour's (0, n-1) are dropped.  A count of the ball points
+    decides first: above _PRUNE_SHARE of the n(n-3)/2 pairs, None.
+    """
+    n = el.size
+    m = Metric.parse(metric)
+    tau = np.spacing(2 * el.max())
+    if not np.isfinite(tau):  # a distance overflowed; no ulp bounds its rounding
+        return None
+    r = (el + tau) * (1 + 2.0**-40)
+    if m is Metric.SQ_EUCLIDEAN:
+        r = np.sqrt(r)
+    minkowski = 1 if m is Metric.MANHATTAN else 2
+    tree = cKDTree(p)
+    centres, radii = np.concatenate((p, pn)), np.concatenate((r, r))
+    counts = tree.query_ball_point(centres, radii, p=minkowski, return_length=True)
+    total = int(counts.sum())
+    if total > _PRUNE_SHARE * (n * (n - 3) // 2):
+        return None
+    hits = tree.query_ball_point(centres, radii, p=minkowski)
+    centre = np.repeat(np.arange(2 * n), counts)
+    k = np.fromiter(itertools.chain.from_iterable(hits), dtype=np.int64, count=total)
+    # around p[i] a hit is j; around p[j+1] (centre n + j) it is i + 1
+    around_x1 = centre < n
+    i = np.where(around_x1, centre, k - 1)
+    j = np.where(around_x1, k, centre - n)
+    keep = (i >= 0) & (j >= i + 2)
+    keys = np.unique(i[keep] * n + j[keep])
+    return keys[keys != n - 1]
+
+
 def _scan_points(p: np.ndarray, metric, pivot: str, eps: float, rng=None):
-    """_scan over the closed tour through the points p, distances from coordinates."""
+    """_scan over the closed tour through the points p, distances from coordinates.
+
+    Only the pairs of _ball_keys are evaluated when it gives them: their
+    gains use the kernel's arithmetic, ``first`` takes the smallest key with
+    gain > eps, ``best`` the first maximum and ``random`` the same single
+    draw over the improving pairs in key order, so the pick is _scan's.
+    """
     pn = np.roll(p, -1, axis=0)
-    return _scan(pivot, eps, vec_dist(p, pn, metric), _coord_dists(p, pn, metric), rng=rng)
+    el = vec_dist(p, pn, metric)
+    keys = _ball_keys(p, pn, el, metric)
+    if keys is None:
+        return _scan(pivot, eps, el, _coord_dists(p, pn, metric), rng=rng)
+    i, j = np.divmod(keys, el.size)
+    g = np.add(el[i], el[j])
+    g -= vec_dist(p[i], p[j], metric)
+    g -= vec_dist(pn[i], pn[j], metric)
+    good = np.flatnonzero(g > eps)
+    if good.size == 0:
+        return None
+    if pivot == "first":
+        k = good[0]
+    elif pivot == "best":
+        k = np.argmax(g)
+    else:
+        k = good[int(rng.integers(good.size))]
+    return int(i[k]), int(j[k]), float(g[k])
 
 
 def _make_change(order: np.ndarray, i: int, j: int, gain: float) -> TwoChange:
@@ -439,6 +554,11 @@ def _flip(P: np.ndarray, lo: int, hi: int) -> None:
         P[:, bottom] = tmp[:, ::-1]
 
 
+def _outer(n: int, i: int, j: int) -> bool:
+    """Whether _reverse_segment reverses the outer side of the pair (i, j)."""
+    return 2 * (j - i) > n
+
+
 def _reverse_segment(order: np.ndarray, i: int, j: int, P: np.ndarray | None = None) -> np.ndarray:
     """Reverse positions i+1..j (inclusive) in place; picks the shorter side, ties inner.
 
@@ -449,7 +569,7 @@ def _reverse_segment(order: np.ndarray, i: int, j: int, P: np.ndarray | None = N
     """
     n = order.size
     flips = [(i + 1, j + 1)]
-    if 2 * (j - i) > n:
+    if _outer(n, i, j):
         flips += [(0, i + 1), (i + 1, n)]
     for lo, hi in flips:
         order[lo:hi] = order[lo:hi][::-1]
@@ -458,6 +578,16 @@ def _reverse_segment(order: np.ndarray, i: int, j: int, P: np.ndarray | None = N
             P[n] = P[0]
             P[:, n] = P[:, 0]
     return order
+
+
+def _added_positions(n: int, i: int, j: int) -> tuple[int, int]:
+    """Positions of the two edges the change (i, j) adds, after _reverse_segment.
+
+    The inner side leaves them at i and j.  The outer side's flips turn
+    A + B + C (B = positions i+1..j) into rev(A) + rev(C) + B, so they sit
+    at n-1-(j-i) and at the wrap position n-1.
+    """
+    return (n - 1 - (j - i), n - 1) if _outer(n, i, j) else (i, j)
 
 
 def find_improving(
@@ -470,7 +600,12 @@ def find_improving(
 ) -> TwoChange | None:
     """Search the tour for an improving 2-change under the pivot rule.
 
-    One scan, so it reads distances from coordinates (no n x n matrix).
+    One scan, so it reads distances from coordinates (no n x n matrix).  A
+    pair with gain > eps has d(x1,x3) < d(x1,x2) + tau or d(x2,x4) <
+    d(x3,x4) + tau, with tau an ulp of twice the longest edge (the module
+    docstring shows why), so only the pairs a KD-tree ball query finds are
+    evaluated while they are few; the pick, and the draw of a random pivot,
+    are those of the full scan, bit for bit.
     """
     _check_pivot(pivot)
     _check_stopping(eps)
@@ -539,7 +674,9 @@ def run_two_opt(
     One RNG (seeded with ``seed``) drives both the random initial tour and
     the random pivot, so a record is reproducible from its parameters.  The
     run ends when a full scan finds no pair with gain > eps (converged=True)
-    or when max_iter changes have been applied (converged=False).
+    or when max_iter changes have been applied (converged=False).  It raises
+    ValueError when a change would undo the one before it, which only
+    rounding can make look improving at this eps.
     """
     _check_pivot(pivot)
     rule = _rule_token(init)
@@ -561,6 +698,7 @@ def run_two_opt(
     iterations = 0
     min_gain: float | None = None
     converged = False
+    undo = None  # the positions of the edges the last change added
     while True:
         hit = _scan(pivot, eps, el, dists, rng=rng)
         if hit is None:
@@ -570,11 +708,20 @@ def run_two_opt(
             converged = False
             break
         i, j, gain = hit
+        # removing both edges the last change added can only undo it, so both
+        # gains are rounding residues; the run would flip between two tours
+        if (i, j) == undo:
+            raise ValueError(
+                f"2-change {_make_change(order, i, j, gain).removed} undoes the previous "
+                f"change: gains are at rounding level for eps={eps} (gain {gain:.3g}); "
+                "raise eps or scale the coordinates down"
+            )
         if keep_changes:
             changes.append(_make_change(order, i, j, gain))
         iterations += 1
         min_gain = gain if min_gain is None else min(min_gain, gain)
         order = _reverse_segment(order, i, j, P)
+        undo = _added_positions(n, i, j)
 
     final_tour = Tour.from_order(order)
     final_length = float(np.roll(el, -int(np.flatnonzero(order == 0)[0])).sum())
@@ -604,7 +751,14 @@ def certify_two_optimality(
     """Full scan for the maximum-gain improving pair; None if 2-optimal.
 
     Works directly from coordinates (no n x n matrix), so it stays cheap and
-    bit-accurate on large, nearly-degenerate instances.
+    bit-accurate on large, nearly-degenerate instances.  A pair can gain
+    more than eps > 0 only if d(x1,x3) < d(x1,x2) + tau or d(x2,x4) <
+    d(x3,x4) + tau, where tau is an ulp of twice the longest edge: otherwise
+    the gain's left-to-right sum is <= 0 (see the module docstring).  So on
+    a tour with few long edges, such as a designated 2-optimal one, only the
+    pairs found by KD-tree ball queries of those radii are evaluated, and the
+    verdict equals the full scan's bit for bit; O(n log n + candidates)
+    instead of O(n^2) gains.
     """
     _check_stopping(eps)
     pts = _coords(inst_or_points)

@@ -14,6 +14,9 @@ which the package replaced with the engine's walk over coordinate rows; the
 walk must visit the same points in the same order.  ``mst_length`` is the
 dense Prim over a full distance matrix that the package replaced with Prim
 over coordinate rows; the test requires the same weight, bit for bit.
+``greedy_insertion`` is the start rule's old loop, which prices every
+remaining vertex against every tour edge at each step; the package keeps a
+cheapest insertion per vertex instead, and must build the same order.
 """
 
 import numpy as np
@@ -224,3 +227,25 @@ def mst_length(inst_or_points, metric: Metric | str = Metric.EUCLIDEAN) -> float
         best = np.minimum(best, D[v])
         best[in_tree] = np.inf
     return total
+
+
+def greedy_insertion(pts: np.ndarray, metric) -> list[int]:
+    """Cheapest insertion from vertex 0; ties to the smallest vertex, then the earliest edge."""
+    n = pts.shape[0]
+    D = pairwise_distances(pts, metric)
+    order = [0]
+    rest = np.arange(1, n)
+    if rest.size:
+        v = int(rest[np.argmin(D[0, rest])])
+        order.append(v)
+        rest = rest[rest != v]
+    while rest.size:
+        a = np.asarray(order)
+        b = np.roll(a, -1)
+        cost = D[a][:, rest] + D[b][:, rest] - D[a, b][:, None]
+        per_vertex = cost.min(axis=0)
+        k = int(np.argmin(per_vertex))
+        e = int(np.argmin(cost[:, k]))
+        order.insert(e + 1, int(rest[k]))
+        rest = np.delete(rest, k)
+    return order

@@ -131,6 +131,24 @@ def test_out_of_range_stopping_rule_exits_1_promptly(tmp_path, argv):
     assert "error:" in proc.stderr
 
 
+def test_run_at_rounding_level_gains_exits_1_promptly(tmp_path):
+    # l1 gains at 1e6 coordinates: a change and its inverse both "improve";
+    # without max_iter the run used to flip between two tours forever
+    points = 1e6 * twoptlab.perturb(twoptlab.make_origins("uniform", 12, 2, 0), 0.3, 0).points
+    origins_path, inst_path = tmp_path / "origins.json", tmp_path / "inst.json"
+    origins_path.write_text(json.dumps(points.tolist()))
+    assert run_cli("gen", "--origins", f"file:{origins_path}", "--sigma", "0",
+                   "-o", str(inst_path)) == EXIT_OK
+    proc = subprocess.run(
+        [sys.executable, "-m", "twoptlab.cli", "run", "--instance", str(inst_path),
+         "--metric", "l1", "--pivot", "first", "--seed", "0"],
+        capture_output=True, text=True, cwd=tmp_path, env=_checkout_env(), timeout=60,
+    )
+    assert proc.returncode == EXIT_VALIDATION, proc.stderr
+    assert "error:" in proc.stderr and "rounding level" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # ratio experiment
 

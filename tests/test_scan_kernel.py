@@ -6,21 +6,27 @@ replay a seeded corpus through both and require identical (i, j, gain)
 sequences, identical certifier verdicts and identical tours, bit for bit,
 at the kernel's block sizes and at tiny ones that split small instances
 into many blocks.  The engine's position matrix must follow every applied
-change exactly, and a run must hold no more than one such matrix.  The layered
+change exactly, and a run must hold no more than one such matrix.  The
+coordinate scans evaluate only KD-tree ball candidates on sparse tours; forced
+onto that path and onto the blocked kernel, they must both match the
+reference loops and each other, random draws included.  The layered
 padding path comes from the engine's nearest-neighbour walk and must visit
 the points the old path did, in the same order.  The MST,
 computed from coordinate rows, must weigh exactly what the reference dense
-Prim over the full matrix gives.
+Prim over the full matrix gives.  Greedy insertion must build the reference
+loop's order while holding one distance matrix.
 """
 
 import collections
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import scan_oracle
+import test_tour_engine
 import twoptlab.tour
 from twoptlab import (
     Tour,
@@ -28,6 +34,7 @@ from twoptlab import (
     build_long_tour,
     certify_two_optimality,
     find_improving,
+    initial_tour,
     make_origins,
     mst_length,
     pairwise_distances,
@@ -36,7 +43,7 @@ from twoptlab import (
 )
 from twoptlab import layered
 from twoptlab.geometry import vec_dist
-from twoptlab.tour import _make_change, _nn_walk
+from twoptlab.tour import _make_change, _nn_walk, _scan_points
 
 METRICS = ("l1", "l2", "l2sq")
 PIVOTS = ("first", "best", "random")
@@ -60,6 +67,18 @@ def tiny_blocks(monkeypatch):
     """
     monkeypatch.setattr(twoptlab.tour, "_SCAN_BLOCK", 16)
     monkeypatch.setattr(twoptlab.tour, "_SCAN_FIRST", 4)
+
+
+@pytest.fixture
+def pruned_scans(monkeypatch):
+    """Coordinate scans evaluate their ball candidates however many there are."""
+    monkeypatch.setattr(twoptlab.tour, "_PRUNE_SHARE", math.inf)
+
+
+@pytest.fixture
+def dense_scans(monkeypatch):
+    """Coordinate scans run the blocked kernel over every pair."""
+    monkeypatch.setattr(twoptlab.tour, "_PRUNE_SHARE", -1.0)
 
 
 def _check_runs(metric, pivot, init):
@@ -102,6 +121,16 @@ def test_find_improving_in_tiny_blocks_matches_reference_scans(tiny_blocks, metr
     _check_find_improving(metric)
 
 
+@pytest.mark.parametrize("metric", METRICS)
+def test_find_improving_on_pruned_scans_matches_reference_scans(pruned_scans, metric):
+    _check_find_improving(metric)
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_find_improving_on_dense_scans_matches_reference_scans(dense_scans, metric):
+    _check_find_improving(metric)
+
+
 def _check_certify(metric):
     for n, seed, pts in _corpus(range(4)):
         tours = [
@@ -127,18 +156,105 @@ def test_certify_in_tiny_blocks_matches_reference_loop(tiny_blocks, metric):
     _check_certify(metric)
 
 
+@pytest.mark.parametrize("metric", METRICS)
+def test_certify_on_pruned_scans_matches_reference_loop(pruned_scans, metric):
+    _check_certify(metric)
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_certify_on_dense_scans_matches_reference_loop(dense_scans, metric):
+    _check_certify(metric)
+
+
+def test_matrix_and_coordinate_scans_agree_on_pruned_scans(pruned_scans):
+    test_tour_engine.test_matrix_and_coordinate_scans_agree()
+
+
+def _layout(name, n, seed):
+    if name in ("x1e6", "x1e200"):  # at 1e200 the l2 and l2sq distances overflow
+        return float(name[1:]) * perturb(make_origins("uniform", n, 2, seed), 0.3, seed).points
+    if name == "coincident":  # every point has a twin, and grid gains tie
+        return make_origins("grid", n, 2, seed)[np.arange(n) // 2]
+    dim = {"d1": 1, "d3": 3}[name]
+    return perturb(make_origins("uniform", n, dim, seed), 0.3, seed).points
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("layout", ["x1e6", "x1e200", "coincident", "d1", "d3"])
+def test_pruned_scan_equals_dense_scan(monkeypatch, layout, metric):
+    # the pick and the generator state after it, on a random tour, and on a
+    # nearest-neighbour tour and a 2-opt local optimum of the unscaled points
+    for n, seed in itertools.product((4, 9, 40, 150), range(3)):
+        pts = _layout(layout, n, seed)
+        unit = pts / np.abs(pts).max()
+        tours = [
+            np.random.default_rng(seed).permutation(n),
+            initial_tour(unit, metric, "nn").order,
+            np.asarray(run_two_opt(unit, metric, seed=seed).final_order),
+        ]
+        for order, pivot in itertools.product(tours, PIVOTS):
+            picks = []
+            for share in (math.inf, -1.0):
+                monkeypatch.setattr(twoptlab.tour, "_PRUNE_SHARE", share)
+                rng = np.random.default_rng(seed)
+                picks.append((_scan_points(pts[order], metric, pivot, 1e-12, rng),
+                              rng.bit_generator.state))
+            assert picks[0] == picks[1], (n, seed, pivot)
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_ball_candidates_hold_every_pair_on_or_inside_a_ball(pruned_scans, metric):
+    # grids at inexact scales put many pairs exactly on a ball's boundary,
+    # d13 == el_i as vec_dist computes them, where the tree's own rounding
+    # can differ: the radius margins must keep every such pair
+    for (n, dim, seed), scale in itertools.product(((60, 2, 0), (64, 3, 1), (50, 1, 2)),
+                                                   (1 / 3, 1e6 / 3)):
+        pts = scale * make_origins("grid", n, dim, seed)
+        for order in (np.arange(n), np.random.default_rng(seed).permutation(n)):
+            p = pts[order]
+            pn = np.roll(p, -1, axis=0)
+            el = vec_dist(p, pn, metric)
+            i, j = np.triu_indices(n, 2)
+            pairs = (i != 0) | (j != n - 1)  # (0, n-1) is adjacent on the closed tour
+            i, j = i[pairs], j[pairs]
+            inside = (vec_dist(p[i], p[j], metric) <= el[i]) | (vec_dist(pn[i], pn[j], metric) <= el[j])
+            keys = twoptlab.tour._ball_keys(p, pn, el, metric)
+            assert np.isin((i * n + j)[inside], keys).all(), (n, dim, scale)
+
+
+def test_certify_convex_position_without_the_blocked_kernel(monkeypatch):
+    # a tour in convex position is 2-optimal, and each point's balls hold
+    # only its neighbours: 20000 points certify without a dense scan
+    def dense(*args, **kwargs):
+        raise AssertionError("the blocked kernel ran")
+
+    monkeypatch.setattr(twoptlab.tour, "_scan", dense)
+    n = 20000
+    angles = np.sort(np.random.default_rng(0).random(n)) * 2.0 * np.pi
+    pts = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    assert certify_two_optimality(pts, Tour.from_order(range(n)), "l2") is None
+
+
 @pytest.mark.parametrize("n", [7, 8, 13, 16])
 def test_position_matrix_tracks_the_order(monkeypatch, n):
     # after every applied change the engine's matrix must be the position
-    # matrix of the new order, bit for bit; at even n a change can reverse
+    # matrix of the new order, bit for bit, and the added edges must sit where
+    # the run's undo guard looks for them; at even n a change can reverse
     # exactly half the tour, the tie between its two sides
     reverse = twoptlab.tour._reverse_segment
     sides = collections.Counter()
 
+    def edge(order, k):
+        return frozenset((int(order[k]), int(order[(k + 1) % order.size])))
+
     def checked(order, i, j, P=None):
         sides[np.sign(2 * (j - i) - order.size)] += 1
+        added = {frozenset(e) for e in _make_change(order, i, j, 0.0).added}
         order = reverse(order, i, j, P)
         assert np.array_equal(P, pairwise_distances(pts[np.append(order, order[0])], metric))
+        positions = twoptlab.tour._added_positions(order.size, i, j)
+        assert {edge(order, k) for k in positions} == added
         return order
 
     monkeypatch.setattr(twoptlab.tour, "_reverse_segment", checked)
@@ -241,6 +357,29 @@ def test_build_long_tour_matches_reference(monkeypatch):
         want.append(build_long_tour(li, inst).order)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_greedy_insertion_matches_reference_loop(metric):
+    # grids tie many insertion costs, so the tie rules show
+    for n, seed in itertools.product(SIZES + (100, 200), range(2)):
+        for pts in (perturb(make_origins("uniform", n, 2, seed), 0.3, seed).points,
+                    make_origins("grid", n, 2, seed)):
+            want = Tour.from_order(scan_oracle.greedy_insertion(pts, metric)).order
+            assert np.array_equal(initial_tour(pts, metric, "greedy").order, want), (n, seed)
+
+
+def test_greedy_insertion_holds_one_matrix():
+    n = 600
+    pts = make_origins("uniform", n, 2, 0)
+    initial_tour(pts[:20], "l2", "greedy")
+    tracemalloc.start()
+    try:
+        initial_tour(pts, "l2", "greedy")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * 8 * n**2
 
 
 @pytest.mark.parametrize("metric", METRICS)

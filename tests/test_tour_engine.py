@@ -327,6 +327,15 @@ def test_out_of_range_eps_is_rejected(eps):
         certify_two_optimality(CROSSING, square, "l2", eps)
 
 
+@pytest.mark.parametrize("n, seed, pivot", [(12, 0, "first"), (30, 1, "best")])
+def test_run_that_would_undo_its_last_change_raises(n, seed, pivot):
+    # at 1e6 the l1 gains of a 2-change and of its inverse are both rounding
+    # residues above eps = 1e-12, so the run would flip between two tours
+    pts = 1e6 * _random_instance(n, seed).points
+    with pytest.raises(ValueError, match="rounding level"):
+        run_two_opt(pts, "l1", pivot=pivot, seed=seed, max_iter=3000)
+
+
 def test_negative_max_iter_is_rejected():
     with pytest.raises(ValueError, match="max_iter"):
         run_two_opt(CROSSING, "l2", max_iter=-1)
