@@ -7,8 +7,9 @@ exactly that regime.
 
 ``vec_dist`` is the one implementation of the three metrics; ``distance``
 and ``pairwise_distances`` are shapes around it.  A distance is therefore the
-same float whichever of them computed it, so the engine (matrix), the
-certifier (coordinates) and the scalar formulas below agree bit for bit.
+same float whichever of them computed it; ``_gain`` is the one 2-change gain
+expression, whose order of operations the exact ball filter of ``tour`` rests
+on.  So every scan and the scalar formulas below agree bit for bit.
 
 The module also provides the two scalar quantities everything downstream is
 built from:
@@ -67,14 +68,16 @@ class Metric(str, enum.Enum):
 
 
 def as_points(points: Iterable) -> np.ndarray:
-    """Coerce to a float64 (n, d) coordinate array, validating shape."""
+    """Coerce to a float64 (n, d) array; 2 n d (max - min)^2 finite, so no length overflows."""
     arr = np.asarray(points, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError(f"expected an (n, d) coordinate array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("coordinates must be finite")
+    span = float(arr.max()) - float(arr.min())
+    if not math.isfinite(2 * arr.size * (span * span)):
+        raise ValueError("coordinates must be finite and keep 2 n d (max - min)^2 finite, "
+                         f"got max - min = {span:.3g}")
     return arr
 
 
@@ -140,12 +143,16 @@ def two_change_gain(x1, x2, x3, x4, metric: Metric | str = Metric.EUCLIDEAN) -> 
     Positive gain means the exchange shortens the tour.
     """
     m = Metric.parse(metric)
-    return (
-        distance(x1, x2, m)
-        + distance(x3, x4, m)
-        - distance(x1, x3, m)
-        - distance(x2, x4, m)
-    )
+    return float(_gain(distance(x1, x2, m), distance(x3, x4, m),
+                       distance(x1, x3, m), distance(x2, x4, m)))
+
+
+def _gain(el_i, el_j, d13, d24):
+    """Gain (el_i + el_j) - d13 - d24, left to right: the only code combining its terms."""
+    g = np.add(el_i, el_j)
+    g -= d13
+    g -= d24
+    return g
 
 
 def eta_geometry_y(eta: float, x: float, delta_ab: float) -> float:

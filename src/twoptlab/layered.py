@@ -292,22 +292,22 @@ def _path_two_opt(pts: np.ndarray, path: list[int], eps: float) -> list[int]:
     but cuts at the anchor edges are considered.  This is the tour engine's
     gain kernel over an open path (no wrap-around edge), Euclidean distances
     from coordinates, first pivot.  After a reversal the scan resumes at the
-    same row, as the reversal may enable another cut there; a full pass with
-    no reversal certifies path-local optimality.
+    same row, on the sub-path from there, as the reversal may enable another
+    cut there; a full pass with no reversal certifies path-local optimality.
     """
     ids = np.asarray(path, dtype=np.int64)
     row, applied = 0, False
     while True:
-        p = pts[ids]
+        p = pts[ids[row:]]
         a, b = p[:-1], p[1:]
         hit = _scan("first", eps, vec_dist(a, b, Metric.EUCLIDEAN),
-                    _coord_dists(a, b, Metric.EUCLIDEAN), closed=False, start=row)
+                    _coord_dists(a, b, Metric.EUCLIDEAN), closed=False)
         if hit is None:
             if not applied:
                 return [int(v) for v in ids]
             row, applied = 0, False
             continue
-        row, j, _ = hit
+        row, j = row + hit[0], row + hit[1]
         ids[row + 1 : j + 1] = ids[row + 1 : j + 1][::-1]
         applied = True
 

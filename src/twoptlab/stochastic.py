@@ -30,6 +30,8 @@ from typing import IO
 import numpy as np
 from scipy.special import gammaln
 
+from .geometry import as_points
+
 __all__ = [
     "Instance",
     "OneStepSpec",
@@ -91,10 +93,8 @@ class Instance:
             raise ValueError(
                 f"points shape {self.points.shape} != origins shape {self.origins.shape}"
             )
-        if self.n < 1:
-            raise ValueError("an instance needs at least one point")
-        if not (np.all(np.isfinite(self.origins)) and np.all(np.isfinite(self.points))):
-            raise ValueError("origins and points must be finite")
+        as_points(self.origins)
+        as_points(self.points)
         _check_sigma(self.sigma, allow_large_sigma=True)
 
     @property

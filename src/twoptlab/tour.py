@@ -9,8 +9,8 @@ between.  Its gain is positive when the tour gets shorter.
 One gain kernel serves every scan: row i holds the gains of the pairs
 (i, j), j >= i+2, skipping the adjacent wrap-around pair (0, n-1) on a
 closed tour.  The kernel computes a block of rows at once, about
-``_SCAN_BLOCK`` gains, as one array expression; a pivot rule is a reduction
-over the blocks, each read in row-major, that is lexicographic, order:
+``_SCAN_BLOCK`` gains, as one ``geometry._gain`` call; the pivot rules are
+one reduction, ``_pick``, over the blocks in row-major (lexicographic) order:
 
 * ``first``  -- the first pair with gain > eps (its blocks start small and
   grow, since the scan usually stops early);
@@ -31,15 +31,15 @@ that a KD-tree ball query cannot rule out (fixed-radius near neighbours,
 Bentley 1992, used as an exact filter).  The filter is exact: write
 el_i = d(x1,x2), el_j = d(x3,x4), and let tau be an ulp of 2 max(el).  If
 the computed d13 = d(x1,x3) >= el_i + tau and d24 = d(x2,x4) >= el_j + tau,
-the kernel's left-to-right ``(el_i + el_j) - d13 - d24`` is <= 0: the first
+``_gain``'s left-to-right ``(el_i + el_j) - d13 - d24`` is <= 0: the first
 sum rounds up by at most tau, so the first subtraction stays <= el_j, and
 the second is then <= -tau.  So every pair with gain > eps > 0 has x3 in the
 ball of radius el_i + tau around x1 (which gives j) or x2 in the ball of
 radius el_j + tau around x4 (which gives i + 1).  The radii are inflated by
 a relative 2^-40 to cover the tree's own rounding; l1 is queried with p = 1,
-and l2sq as an l2 ball of the square-root radius.  The candidates' gains are
-computed with the kernel's arithmetic and reduced in lexicographic order,
-with the same random draw, so the pick is the blocked kernel's, bit for bit.
+and l2sq as an l2 ball of the square-root radius (``as_points`` keeps tau
+finite).  The candidates' gains, from ``_gain``, are one block for
+``_pick``, so the pick and the random draw are the kernel's, bit for bit.
 When the balls hold more than ``_PRUNE_SHARE`` of the pairs (a random tour,
 say) the blocked kernel is faster and runs instead.
 
@@ -69,7 +69,7 @@ from typing import IO, Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import Metric, as_points, pairwise_distances, vec_dist
+from .geometry import Metric, _gain, as_points, pairwise_distances, vec_dist
 
 __all__ = [
     "Tour",
@@ -382,15 +382,15 @@ _BELOW = np.tri(math.isqrt(_SCAN_BLOCK) + 1, k=-1, dtype=bool)
 _PRUNE_SHARE = 1 / 16
 
 
-def _blocks(m: int, start: int, budget: int):
-    """Row ranges [i0, i1) covering rows start..m-3, about ``budget`` gains each.
+def _blocks(m: int, budget: int):
+    """Row ranges [i0, i1) covering rows 0..m-3, about ``budget`` gains each.
 
     Row i pairs with the columns i+2..m-1, so a block of rows [i0, i1) spans
     the columns i0+2..m-1.  The budget doubles after each block up to
     _SCAN_BLOCK.  A block never has more rows than columns, so rows**2 <=
     budget.
     """
-    i0 = start
+    i0 = 0
     while i0 < m - 2:
         cols = m - i0 - 2
         i1 = i0 + max(1, min(cols, budget // cols))
@@ -398,64 +398,65 @@ def _blocks(m: int, start: int, budget: int):
         i0, budget = i1, min(2 * budget, _SCAN_BLOCK)
 
 
+def _pick(pivot: str, eps: float, blocks, gains, pair, rng: np.random.Generator | None):
+    """The pair (i, j, gain) the pivot rule picks among gains > eps, or None.
+
+    ``gains(b)`` computes the gains g of block b and ``pair(b, g, k)`` gives
+    (i, j, gain) of g's flat index k; blocks and their flat indices run in
+    lexicographic pair order.  ``random`` counts the improving pairs, draws
+    one and computes the block that holds it again.
+    """
+    if pivot != "random":
+        best = None
+        for b in blocks:
+            g = gains(b)
+            k = int(np.argmax(g > eps if pivot == "first" else g))
+            if g.flat[k] > eps and (best is None or g.flat[k] > best[2]):
+                best = pair(b, g, k)
+                if pivot == "first":
+                    break
+        return best
+    blocks = list(blocks)
+    counts = [int(np.count_nonzero(gains(b) > eps)) for b in blocks]
+    total = sum(counts)
+    if total == 0:
+        return None
+    r = int(rng.integers(total))
+    for b, count in zip(blocks, counts):
+        if r < count:
+            g = gains(b)
+            return pair(b, g, int(np.flatnonzero(g > eps)[r]))
+        r -= count
+    raise AssertionError("unreachable: improving-pair index out of range")
+
+
 def _scan(pivot: str, eps: float, el: np.ndarray, dists,
-          closed: bool = True, start: int = 0, rng: np.random.Generator | None = None):
+          closed: bool = True, rng: np.random.Generator | None = None):
     """The pair (i, j, gain) the pivot rule picks among gains > eps, or None.
 
     Edge k has length el[k]; the pair (i, j), i+2 <= j < len(el), has gain
-    el[i] + el[j] - d13 - d24, where ``dists(i0, i1, c0)`` gives the blocks
-    d13 and d24 of the pairs with rows i0..i1-1 and columns c0.. (the
+    _gain(el[i], el[j], d13, d24), where ``dists(i0, i1, c0)`` gives the
+    blocks d13 and d24 of the pairs with rows i0..i1-1 and columns c0.. (the
     distances between the first and between the second endpoints of the two
-    edges).  On a closed tour the adjacent pair (0, last) is left out.  Rows
-    before ``start`` are not scanned.  Blocks are reduced in row-major, that
-    is lexicographic, order.
+    edges).  On a closed tour the adjacent pair (0, last) is left out.  The
+    row blocks of _blocks are reduced by _pick.
     """
-    m = el.size
-
-    def gains(i0: int, i1: int) -> np.ndarray:
+    def gains(block):
+        i0, i1 = block
         c0 = i0 + 2
-        d13, d24 = dists(i0, i1, c0)
-        g = np.add(el[i0:i1, None], el[None, c0:])
-        g -= d13
-        g -= d24
+        g = _gain(el[i0:i1, None], el[None, c0:], *dists(i0, i1, c0))
         rows = i1 - i0
         g[:, :rows][_BELOW[:rows, :rows]] = -np.inf
         if closed and i0 == 0:
             g[0, -1] = -np.inf
         return g
 
-    def pair(i0: int, g: np.ndarray, k: int):
+    def pair(block, g, k):
         r, c = divmod(k, g.shape[1])
-        return i0 + r, i0 + 2 + c, float(g[r, c])
+        return block[0] + r, block[0] + 2 + c, float(g[r, c])
 
-    if pivot == "first":
-        for i0, i1 in _blocks(m, start, _SCAN_FIRST):
-            g = gains(i0, i1)
-            good = g > eps
-            k = int(np.argmax(good))
-            if good.flat[k]:
-                return pair(i0, g, k)
-        return None
-    if pivot == "best":
-        best = None
-        for i0, i1 in _blocks(m, start, _SCAN_BLOCK):
-            g = gains(i0, i1)
-            k = int(np.argmax(g))
-            if g.flat[k] > eps and (best is None or g.flat[k] > best[2]):
-                best = pair(i0, g, k)
-        return best
-    blocks = list(_blocks(m, start, _SCAN_BLOCK))
-    counts = [int(np.count_nonzero(gains(i0, i1) > eps)) for i0, i1 in blocks]
-    total = sum(counts)
-    if total == 0:
-        return None
-    r = int(rng.integers(total))
-    for (i0, i1), count in zip(blocks, counts):
-        if r < count:
-            g = gains(i0, i1)
-            return pair(i0, g, int(np.flatnonzero(g > eps)[r]))
-        r -= count
-    raise AssertionError("unreachable: improving-pair index out of range")
+    budget = _SCAN_FIRST if pivot == "first" else _SCAN_BLOCK
+    return _pick(pivot, eps, _blocks(el.size, budget), gains, pair, rng)
 
 
 def _coord_dists(a: np.ndarray, b: np.ndarray, metric):
@@ -479,8 +480,6 @@ def _ball_keys(p: np.ndarray, pn: np.ndarray, el: np.ndarray, metric) -> np.ndar
     n = el.size
     m = Metric.parse(metric)
     tau = np.spacing(2 * el.max())
-    if not np.isfinite(tau):  # a distance overflowed; no ulp bounds its rounding
-        return None
     r = (el + tau) * (1 + 2.0**-40)
     if m is Metric.SQ_EUCLIDEAN:
         r = np.sqrt(r)
@@ -507,29 +506,20 @@ def _scan_points(p: np.ndarray, metric, pivot: str, eps: float, rng=None):
     """_scan over the closed tour through the points p, distances from coordinates.
 
     Only the pairs of _ball_keys are evaluated when it gives them: their
-    gains use the kernel's arithmetic, ``first`` takes the smallest key with
-    gain > eps, ``best`` the first maximum and ``random`` the same single
-    draw over the improving pairs in key order, so the pick is _scan's.
+    gains, in key (lexicographic) order, are one block for _pick, so the
+    pick and the random draw are _scan's.
     """
     pn = np.roll(p, -1, axis=0)
     el = vec_dist(p, pn, metric)
     keys = _ball_keys(p, pn, el, metric)
     if keys is None:
         return _scan(pivot, eps, el, _coord_dists(p, pn, metric), rng=rng)
-    i, j = np.divmod(keys, el.size)
-    g = np.add(el[i], el[j])
-    g -= vec_dist(p[i], p[j], metric)
-    g -= vec_dist(pn[i], pn[j], metric)
-    good = np.flatnonzero(g > eps)
-    if good.size == 0:
+    if keys.size == 0:
         return None
-    if pivot == "first":
-        k = good[0]
-    elif pivot == "best":
-        k = np.argmax(g)
-    else:
-        k = good[int(rng.integers(good.size))]
-    return int(i[k]), int(j[k]), float(g[k])
+    i, j = np.divmod(keys, el.size)
+    g = _gain(el[i], el[j], vec_dist(p[i], p[j], metric), vec_dist(pn[i], pn[j], metric))
+    return _pick(pivot, eps, (g,), lambda b: b,
+                 lambda b, g, k: (int(i[k]), int(j[k]), float(g[k])), rng)
 
 
 def _make_change(order: np.ndarray, i: int, j: int, gain: float) -> TwoChange:
@@ -795,7 +785,7 @@ def min_improvement(
         for b in range(n):
             if a == b:
                 continue
-            g = D[a, b] + D - D[a][:, None] - D[b][None, :]
+            g = _gain(D[a, b], D, D[a][:, None], D[b][None, :])
             g[a, :] = -np.inf
             g[b, :] = -np.inf
             g[:, a] = -np.inf

@@ -149,6 +149,30 @@ def test_run_at_rounding_level_gains_exits_1_promptly(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["gen", "run", "exact"])
+def test_overflowing_coordinates_exit_1_promptly(tmp_path, command):
+    # every l2 distance of these points overflows; `run` used to report
+    # "converged" at length inf and `exact` never returned
+    points = 1e200 * twoptlab.perturb(twoptlab.make_origins("uniform", 12, 2, 0), 0.3, 0).points
+    origins_path, inst_path = tmp_path / "origins.json", tmp_path / "inst.json"
+    origins_path.write_text(json.dumps(points.tolist()))
+    inst_path.write_text(json.dumps({"dim": 2, "sigma": 0.0, "seed": 0,
+                                     "origins": points.tolist(), "points": points.tolist()}))
+    argv = {
+        "gen": ["gen", "--origins", f"file:{origins_path}", "--sigma", "0",
+                "-o", str(tmp_path / "out.json")],
+        "run": ["run", "--instance", str(inst_path)],
+        "exact": ["exact", "--instance", str(inst_path)],
+    }[command]
+    proc = subprocess.run(
+        [sys.executable, "-m", "twoptlab.cli", *argv],
+        capture_output=True, text=True, cwd=tmp_path, env=_checkout_env(), timeout=60,
+    )
+    assert proc.returncode == EXIT_VALIDATION, proc.stderr
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    assert not (tmp_path / "out.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # ratio experiment
 
