@@ -218,8 +218,8 @@ def edge_length_histogram(
     order = _tour_order(tour, pts.shape[0])
     if opt_length is None:
         opt_length = held_karp(pts, metric).length
-    if opt_length <= 0.0:
-        raise ValueError(f"optimal length must be positive, got {opt_length}")
+    if not 0.0 < opt_length < math.inf:
+        raise ValueError(f"optimal length must be positive and finite, got {opt_length}")
     p = pts[order]
     lengths = vec_dist(p, np.roll(p, -1, axis=0), metric)
     bins: dict[int, list] = {}

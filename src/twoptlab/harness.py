@@ -396,8 +396,8 @@ def scaling_fit(rows: Sequence[Mapping], x_field: str, y_field: str) -> FitResul
     ys = np.asarray([float(r[y_field]) for r in rows])
     if xs.size < 3 or np.unique(xs).size < 3:
         raise ValueError("scaling_fit needs at least three distinct x values")
-    if (xs <= 0).any() or (ys <= 0).any():
-        raise ValueError("scaling_fit needs positive x and y (log-log fit)")
+    if not ((xs > 0) & (ys > 0) & np.isfinite(xs) & np.isfinite(ys)).all():
+        raise ValueError("scaling_fit needs finite positive x and y (log-log fit)")
     lx, ly = np.log(xs), np.log(ys)
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (slope * lx + intercept)

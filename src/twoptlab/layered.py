@@ -1,8 +1,8 @@
 """A layered 2-D instance on which 2-opt admits a very long local optimum.
 
-Geometry (parameter p, odd and >= 3; depth t, odd, 1 <= t <= p; all
-coordinates are integer multiples of 1/P with P = 3 p^(2p), so repeated
-points coincide bit-exactly):
+Geometry (parameter p, odd and >= 3; depth t, odd, 1 <= t <= p).  ``_layout``
+lists the blocks below in index order; block point j sits at integer
+numerators ((x0 + j step)/P, y/P), P = 3 p^(2p), so repeats coincide exactly:
 
 * Stack V1: layers i = 0..t.  Layer i holds p^(2i)+1 points spaced
   a_i = p^(2p-2i)/P apart, spanning x in [0, 1/3] at height
@@ -16,8 +16,8 @@ points coincide bit-exactly):
   [1/3, 2/3] at height y_t.  Its end points coincide with the top-layer end
   points of V1 and V2.
 * Padding: p^(2p) - 1 extra points on the central bridge point C (index
-  count//2 of V3), bringing the total to n = 2 sum_i (p^(2i)+1) + p^(2t)
-  + p^(2p).  The padding pins the instance size independently of t.
+  count//2 of V3); they pin the instance size independently of t.  A loaded
+  file must match the rebuilt construction label for label and bit for bit.
 
 The designated long tour snakes through V1 from layer 0 up to layer t
 (alternating direction, so t must be odd for the top layer to end at the
@@ -50,7 +50,7 @@ import numpy as np
 
 from .exact import mst_length
 from .geometry import Metric, vec_dist
-from .stochastic import Instance, _check_sigma, perturb
+from .stochastic import Instance, _check_sigma, _json_number, _json_object, perturb
 from .tour import (
     Tour, _check_stopping, _coord_dists, _nn_walk, _scan, certify_two_optimality, tour_length,
 )
@@ -116,8 +116,7 @@ class LayeredParams:
 
     @property
     def n(self) -> int:
-        per_stack = sum(self.p ** (2 * i) + 1 for i in range(self.t + 1))
-        return 2 * per_stack + (self.p ** (2 * self.t) + 1) + self.padding
+        return sum(count for *_, count, _ in _layout(self))
 
 
 def layered_params(p: int, sigma: float = 0.0, t: int | None = None) -> LayeredParams:
@@ -138,6 +137,26 @@ def layered_params(p: int, sigma: float = 0.0, t: int | None = None) -> LayeredP
         p=p, t=t, sigma=float(sigma), P=P, a=a, c=c,
         beta=a[t] / 8.0, padding=p ** (2 * p) - 1,
     )
+
+
+def _layout(params: LayeredParams) -> list[tuple[str, int, int, int, int, int]]:
+    """The construction's blocks in index order: (part, layer, x0, step, count, y).
+
+    Point j < count of a block sits at ((x0 + j step) / P, y / P).  V1 and V2
+    list layers 0..t, V3 copies V1's top layer, and the padding sits on the
+    bridge's central point (step 0).
+    """
+    p, t, width = params.p, params.t, params.p ** (2 * params.p)
+    blocks = []
+    for part, x0 in (("V1", 0), ("V2", 2 * width)):
+        y = 0
+        for i in range(t + 1):
+            blocks.append((part, i, x0, p ** (2 * (p - i)), p ** (2 * i) + 1, y))
+            y += p ** (2 * (p - i) - 1)
+    _, _, _, step, count, y = blocks[t]
+    blocks.append(("V3", t, width, step, count, y))
+    blocks.append(("pad", t, width + count // 2 * step, 0, params.padding, y))
+    return blocks
 
 
 def _sized_params(p: int, sigma: float, t: int | None) -> LayeredParams:
@@ -165,15 +184,11 @@ class LayeredInstance:
         return int(self.origins.shape[0])
 
     def part_rows(self) -> dict:
-        """Index arrays per (part, layer), each sorted left to right."""
-        by_key: dict[tuple[str, int], list[int]] = {}
-        for idx, key in enumerate(self.labels):
-            by_key.setdefault(tuple(key), []).append(idx)
-        rows: dict = {}
-        for key, ids in by_key.items():
-            ids_arr = np.asarray(ids, dtype=np.int64)
-            xs = self.origins[ids_arr, 0]
-            rows[key] = ids_arr[np.argsort(xs, kind="stable")]
+        """Index ranges per (part, layer) block, each ordered left to right."""
+        rows, start = {}, 0
+        for part, layer, _, _, count, _ in _layout(self.params):
+            rows[(part, layer)] = np.arange(start, start + count)
+            start += count
         return rows
 
     def unperturbed(self) -> Instance:
@@ -216,69 +231,40 @@ class LayeredInstance:
 
     @classmethod
     def from_json(cls, source: str | IO[str]) -> tuple["LayeredInstance", Instance]:
+        """Load a ``to_json`` file; its labels and origins must match the rebuilt construction."""
         data = json.loads(source if isinstance(source, str) else source.read())
-        for key in ("labels", "params"):
-            if key not in data:
-                raise ValueError(f"layered-instance JSON missing {key!r}")
-        inst = Instance.from_json(json.dumps(
-            {k: data[k] for k in ("dim", "sigma", "seed", "origins", "points")}
-        ))
+        inst = Instance._from_data(data)
+        _json_object(data, ("labels", "params"), "layered-instance JSON")
         meta = data["params"]
-        params = layered_params(int(meta["p"]), float(meta["sigma"]), int(meta["t"]))
-        if params.P != int(meta["P"]) or not math.isclose(params.beta, float(meta["beta"])):
+        _json_object(meta, ("p", "t", "sigma", "P", "beta"), "layered params")
+        li = build_layered(_json_number(meta, "p", integral=True), _json_number(meta, "sigma"),
+                           _json_number(meta, "t", integral=True))
+        if meta["P"] != li.params.P or not math.isclose(li.params.beta, _json_number(meta, "beta")):
             raise ValueError("stored params are inconsistent with (p, sigma, t)")
-        labels = [(str(part), int(layer)) for part, layer in data["labels"]]
-        if len(labels) != inst.n:
-            raise ValueError("labels do not match the number of points")
-        li = cls(origins=inst.origins.copy(), labels=labels, params=params)
-        if li.n != params.n:
-            raise ValueError("point count does not match the construction parameters")
+        if data["labels"] != [list(key) for key in li.labels]:
+            raise ValueError("labels do not match the construction")
+        li._check_origins(inst)
         return li, inst
 
 
 def build_layered(p: int, sigma: float = 0.0, t: int | None = None) -> LayeredInstance:
-    """Construct the layered instance for (p, sigma, t).
+    """Construct the layered instance for (p, sigma, t), one array per layout block.
 
-    All coordinates are built as integer numerators over P, so coincident
-    points (junction endpoints, the padding cluster) are bit-identical and
-    the unperturbed designated tour certifies at eps = 1e-15.  More than
-    MAX_POINTS points (every p >= 5) raise ValueError.
+    Numerators below 2^53 make numpy's division match Python's int / int, so
+    coincident points (junction endpoints, the padding cluster) are
+    bit-identical and the unperturbed designated tour certifies at eps =
+    1e-15.  More than MAX_POINTS points (every p >= 5) raise ValueError.
     """
     params = _sized_params(p, sigma, t)
-    t = params.t
-    P = params.P
-    y_num = [sum(p ** (2 * (p - m) - 1) for m in range(i)) for i in range(t + 1)]
-
-    coords: list[tuple[float, float]] = []
+    blocks = _layout(params)
+    origins = np.concatenate([
+        np.column_stack(((x0 + step * np.arange(count)) / params.P, np.full(count, y / params.P)))
+        for _, _, x0, step, count, y in blocks
+    ])
     labels: list[tuple[str, int]] = []
-
-    def add_stack(part: str, x_shift_num: int) -> None:
-        for i in range(t + 1):
-            step = p ** (2 * (p - i))
-            for j in range(p ** (2 * i) + 1):
-                coords.append(((x_shift_num + j * step) / P, y_num[i] / P))
-                labels.append((part, i))
-
-    add_stack("V1", 0)
-    add_stack("V2", 2 * p ** (2 * p))
-
-    step_t = p ** (2 * (p - t))
-    count_t = p ** (2 * t) + 1
-    for j in range(count_t):
-        coords.append(((p ** (2 * p) + j * step_t) / P, y_num[t] / P))
-        labels.append(("V3", t))
-
-    center = count_t // 2
-    cx = (p ** (2 * p) + center * step_t) / P
-    cy = y_num[t] / P
-    for _ in range(params.padding):
-        coords.append((cx, cy))
-        labels.append(("pad", t))
-
-    origins = np.asarray(coords, dtype=np.float64)
-    li = LayeredInstance(origins=origins, labels=labels, params=params)
-    assert li.n == params.n
-    return li
+    for part, layer, _, _, count, _ in blocks:
+        labels += [(part, layer)] * count
+    return LayeredInstance(origins=origins, labels=labels, params=params)
 
 
 # ---------------------------------------------------------------------------

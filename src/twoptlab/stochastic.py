@@ -64,6 +64,20 @@ def _check_sigma(sigma: float, allow_large_sigma: bool = False) -> None:
         raise ValueError(f"sigma must be finite, got {sigma}")
 
 
+def _json_object(data, keys: tuple[str, ...], what: str) -> None:
+    """Raise unless ``data`` is a JSON object holding every key in ``keys``."""
+    if not isinstance(data, dict) or not set(keys) <= set(data):
+        raise ValueError(f"{what} must be an object with keys {list(keys)}, got {str(data)[:60]}")
+
+
+def _json_number(data: dict, key: str, integral: bool = False):
+    """``data[key]`` as a float, or as an int if ``integral``; other values raise."""
+    value = data[key]
+    if type(value) is int or type(value) is float and (not integral or value.is_integer()):
+        return int(value) if integral else float(value)
+    raise ValueError(f"{key!r} must be {'an integer' if integral else 'a number'}, got {value!r}")
+
+
 @dataclasses.dataclass
 class Instance:
     """A perturbed point set together with everything needed to rebuild it.
@@ -121,14 +135,15 @@ class Instance:
 
     @classmethod
     def from_json(cls, source: str | IO[str]) -> "Instance":
-        data = json.loads(source if isinstance(source, str) else source.read())
-        missing = {"dim", "sigma", "seed", "origins", "points"} - set(data)
-        if missing:
-            raise ValueError(f"instance JSON missing keys: {sorted(missing)}")
+        return cls._from_data(json.loads(source if isinstance(source, str) else source.read()))
+
+    @classmethod
+    def _from_data(cls, data) -> "Instance":
+        _json_object(data, ("dim", "sigma", "seed", "origins", "points"), "instance JSON")
         return cls(
-            dim=int(data["dim"]),
-            sigma=float(data["sigma"]),
-            seed=int(data["seed"]),
+            dim=_json_number(data, "dim", integral=True),
+            sigma=_json_number(data, "sigma"),
+            seed=_json_number(data, "seed", integral=True),
             origins=np.asarray(data["origins"], dtype=np.float64),
             points=np.asarray(data["points"], dtype=np.float64),
         )
@@ -150,7 +165,7 @@ class OneStepSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "cells", np.asarray(self.cells, dtype=np.float64))
-        if self.phi < 1.0:
+        if not self.phi >= 1.0:
             raise ValueError(f"phi must be >= 1, got {self.phi}")
         if self.cells.ndim != 2 or self.cells.shape[1] != self.dim:
             raise ValueError(f"cells must have shape (m, {self.dim})")
@@ -255,9 +270,16 @@ def d_max_bound(n: int, sigma: float, c: float = 2.0) -> float:
     """
     if n < 2:
         raise ValueError(f"spread bound needs n >= 2, got {n}")
-    if sigma < 0.0:
-        raise ValueError(f"sigma must be non-negative, got {sigma}")
+    _check_sigma(sigma, allow_large_sigma=True)
     return c * (sigma * math.sqrt(n * math.log(n)) + 1.0)
+
+
+def _check_chi(d: int, sigma: float) -> None:
+    """The chi-distribution argument rule: d >= 1 and sigma > 0 (NaN fails)."""
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got {d}")
+    if not sigma > 0.0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
 
 
 def chi_pdf(x, d: int, sigma: float):
@@ -268,10 +290,7 @@ def chi_pdf(x, d: int, sigma: float):
     d = 1, 2, 3 reduce to the half-normal, Rayleigh and Maxwell densities.
     Accepts scalars or arrays; negative x has density 0.
     """
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    _check_chi(d, sigma)
     x_in = np.asarray(x, dtype=np.float64)
     scalar = x_in.ndim == 0
     x_arr = np.atleast_1d(x_in)
@@ -292,10 +311,7 @@ def chi_inverse_moment(d: int, c: float, sigma: float) -> float:
 
     Finite only for c < d; other arguments raise.
     """
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    _check_chi(d, sigma)
     if c >= d:
         raise ValueError(f"inverse moment diverges for c >= d (c={c}, d={d})")
     log_val = (
@@ -313,11 +329,8 @@ def chi_square_tail(d: int, sigma: float, t: float) -> tuple[float, float]:
     Returns (threshold, bound) with threshold = sigma * 3 sqrt(d ln t) and
     bound = t^(-2.9 d), valid for t >= 3:  P(|Z| >= threshold) <= bound.
     """
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if t < 3.0:
+    _check_chi(d, sigma)
+    if not t >= 3.0:
         raise ValueError(f"tail bound requires t >= 3, got {t}")
     threshold = sigma * 3.0 * math.sqrt(d * math.log(t))
     bound = t ** (-2.9 * d)
@@ -329,6 +342,7 @@ def chi_square_tail(d: int, sigma: float, t: float) -> tuple[float, float]:
 
 
 def _gaussian_batch(rng: np.random.Generator, samples: int, d: int, sigma: float, mean=None):
+    _check_sigma(sigma, allow_large_sigma=True)
     z = sigma * rng.standard_normal((samples, d))
     if mean is not None:
         z += np.asarray(mean, dtype=np.float64)
@@ -349,7 +363,7 @@ def mc_ball_mass(
     center and mean default to the origin.  The closed-form counterpart is
     the ball estimate (eps/sigma)^d, which holds for every center.
     """
-    if eps < 0.0:
+    if not eps >= 0.0:
         raise ValueError(f"eps must be non-negative, got {eps}")
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
@@ -378,7 +392,7 @@ def mc_line_closeness(
     """
     if d < 2:
         raise ValueError("line closeness needs d >= 2")
-    if eps < 0.0:
+    if not eps >= 0.0:
         raise ValueError(f"eps must be non-negative, got {eps}")
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")

@@ -17,11 +17,16 @@ over coordinate rows; the test requires the same weight, bit for bit.
 ``greedy_insertion`` is the start rule's old loop, which prices every
 remaining vertex against every tour edge at each step; the package keeps a
 cheapest insertion per vertex instead, and must build the same order.
+``build_layered`` and ``part_rows`` are the layered construction's old
+point-by-point build and its label-grouping row lookup; the package derives
+both from one block layout, and must give the same origins bit for bit, the
+same labels and the same rows.
 """
 
 import numpy as np
 
 from twoptlab.geometry import Metric, pairwise_distances, vec_dist
+from twoptlab.layered import LayeredInstance, layered_params
 from twoptlab.tour import Tour, _coords, _make_change, initial_tour
 
 # Scans work on (D, order) with edge i = (order[i], order[(i+1) % n]).
@@ -249,3 +254,52 @@ def greedy_insertion(pts: np.ndarray, metric) -> list[int]:
         order.insert(e + 1, int(rest[k]))
         rest = np.delete(rest, k)
     return order
+
+
+def build_layered(p: int, sigma: float = 0.0, t: int | None = None) -> LayeredInstance:
+    """The layered construction, one point and one label at a time."""
+    params = layered_params(p, sigma, t)
+    t = params.t
+    P = params.P
+    y_num = [sum(p ** (2 * (p - m) - 1) for m in range(i)) for i in range(t + 1)]
+
+    coords: list[tuple[float, float]] = []
+    labels: list[tuple[str, int]] = []
+
+    def add_stack(part: str, x_shift_num: int) -> None:
+        for i in range(t + 1):
+            step = p ** (2 * (p - i))
+            for j in range(p ** (2 * i) + 1):
+                coords.append(((x_shift_num + j * step) / P, y_num[i] / P))
+                labels.append((part, i))
+
+    add_stack("V1", 0)
+    add_stack("V2", 2 * p ** (2 * p))
+
+    step_t = p ** (2 * (p - t))
+    count_t = p ** (2 * t) + 1
+    for j in range(count_t):
+        coords.append(((p ** (2 * p) + j * step_t) / P, y_num[t] / P))
+        labels.append(("V3", t))
+
+    center = count_t // 2
+    cx = (p ** (2 * p) + center * step_t) / P
+    cy = y_num[t] / P
+    for _ in range(params.padding):
+        coords.append((cx, cy))
+        labels.append(("pad", t))
+
+    return LayeredInstance(origins=np.asarray(coords, dtype=np.float64), labels=labels, params=params)
+
+
+def part_rows(li: LayeredInstance) -> dict:
+    """Index arrays per (part, layer) label, each sorted left to right by origin."""
+    by_key: dict[tuple[str, int], list[int]] = {}
+    for idx, key in enumerate(li.labels):
+        by_key.setdefault(tuple(key), []).append(idx)
+    rows: dict = {}
+    for key, ids in by_key.items():
+        ids_arr = np.asarray(ids, dtype=np.int64)
+        xs = li.origins[ids_arr, 0]
+        rows[key] = ids_arr[np.argsort(xs, kind="stable")]
+    return rows

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import test_lower_bound
 import twoptlab
 from twoptlab.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, EXIT_VERIFICATION, main
 from twoptlab.harness import RATIO_COLUMNS, ROW_COLUMNS
@@ -245,6 +246,26 @@ def test_lb_certify_failure_exits_2(tmp_path, capsys):
     assert payload["max_violation_gain"] == pytest.approx(0.0098611, rel=1e-4)
     assert len(payload["violation_removed"]) == 2
     assert len(payload["violation_added"]) == 2
+
+
+@pytest.mark.parametrize("name", sorted(test_lower_bound.TAMPERINGS))
+@pytest.mark.parametrize("command", ["ratio", "certify"])
+def test_lb_tampered_instance_exits_1(tmp_path, capsys, name, command):
+    # unchecked, the swapped-label file reports ratio_lb 1.100 against the true 0.769
+    path = tmp_path / "lb.json"
+    path.write_text(test_lower_bound.tampered_layered_json(name))
+    assert run_cli("lb", command, "--instance", str(path)) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [["run"], ["lb", "certify"], ["lb", "ratio"]])
+@pytest.mark.parametrize("text", ["5", "[1, 2]", "null"])
+def test_instance_file_that_is_not_an_object_exits_1(tmp_path, capsys, argv, text):
+    path = tmp_path / "inst.json"
+    path.write_text(text)
+    assert run_cli(*argv, "--instance", str(path)) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: instance JSON must be an object")
 
 
 def test_lb_build_rejects_even_p(tmp_path):

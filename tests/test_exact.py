@@ -193,6 +193,12 @@ def test_histogram_rejects_nonpositive_opt():
         edge_length_histogram([0, 1, 2, 3], SQUARE, "l2", opt_length=0.0)
 
 
+@pytest.mark.parametrize("opt", [math.inf, math.nan])
+def test_histogram_rejects_non_finite_opt(opt):
+    with pytest.raises(ValueError, match="finite"):
+        edge_length_histogram([0, 1, 2, 3], SQUARE, "l2", opt_length=opt)
+
+
 def test_histogram_rejects_non_tours():
     for order in ([0, 0, 0, 0], [0, 1, 2], [0, 1, 2, 3, 4]):
         with pytest.raises(ValueError, match="permutation"):

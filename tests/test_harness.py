@@ -321,6 +321,15 @@ def test_scaling_fit_requires_positive_data():
         scaling_fit(rows, "x", "y")
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["x", "y"])
+def test_scaling_fit_rejects_non_finite_data(field, bad):
+    rows = [{"x": float(x), "y": float(x)} for x in (1, 2, 4, 8)]
+    rows[2][field] = bad
+    with pytest.raises(ValueError, match="finite"):
+        scaling_fit(rows, "x", "y")
+
+
 # ---------------------------------------------------------------------------
 # paired ratio experiment
 

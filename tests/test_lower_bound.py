@@ -1,6 +1,7 @@
 """The layered adversarial instance: construction, tour, containers, ratio."""
 
 import io
+import json
 import math
 
 import numpy as np
@@ -19,6 +20,8 @@ from twoptlab import (
     tour_length,
 )
 from twoptlab.layered import MAX_POINTS
+
+import scan_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +94,21 @@ def test_build_layer_cardinalities_and_shifts():
     # padding coincides bit-for-bit with the central layer-t point of V3
     center = v3[len(v3) // 2]
     assert np.all(pad == center)
+
+
+@pytest.mark.parametrize("t", [1, 3])
+@pytest.mark.parametrize("sigma", [0.0, 1e-6, 3e-6, 1e-4])
+def test_build_matches_the_point_by_point_reference(t, sigma):
+    li = build_layered(3, sigma, t)
+    ref = scan_oracle.build_layered(3, sigma, t)
+    assert li.origins.tobytes() == ref.origins.tobytes()
+    assert li.origins.shape == ref.origins.shape == (li.params.n, 2)
+    assert li.labels == ref.labels
+    rows, ref_rows = li.part_rows(), scan_oracle.part_rows(ref)
+    assert list(rows) == list(ref_rows)
+    for key, row in ref_rows.items():
+        assert rows[key].dtype == row.dtype and np.array_equal(rows[key], row)
+    assert li.to_json() == ref.to_json()
 
 
 def test_build_origins_inside_unit_square():
@@ -237,3 +255,52 @@ def test_layered_json_round_trip():
     assert np.array_equal(inst2.points, inst.points)
     assert np.array_equal(li2.unperturbed().points, li.unperturbed().points)
     assert li2.labels == li.labels
+
+
+def _swap_first_and_last_labels(data):
+    data["labels"][0], data["labels"][-1] = data["labels"][-1], data["labels"][0]
+
+
+def _move_one_origin(data):
+    data["origins"][7][0] += 1e-3
+    data["points"][7][0] += 1e-3
+
+
+# each edit keeps the label and point counts of the construction
+TAMPERINGS = {
+    "swapped labels": (_swap_first_and_last_labels, "labels do not match"),
+    "every label V1": (lambda d: d.update(labels=[["V1", k] for _, k in d["labels"]]),
+                       "labels do not match"),
+    "unknown part": (lambda d: d["labels"].__setitem__(3, ["V9", 0]), "labels do not match"),
+    "moved origin": (_move_one_origin, "origins do not match"),
+}
+
+
+def tampered_layered_json(name: str) -> str:
+    """A perturbed p = 3, t = 1 instance file with one of TAMPERINGS applied."""
+    li = build_layered(3, sigma=1e-4, t=1)
+    data = json.loads(li.to_json(li.perturbed(5)))
+    TAMPERINGS[name][0](data)
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("name", sorted(TAMPERINGS))
+def test_layered_json_must_match_the_construction(name):
+    with pytest.raises(ValueError, match=TAMPERINGS[name][1]):
+        LayeredInstance.from_json(tampered_layered_json(name))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.pop("labels"),
+    lambda d: d.update(params=5),
+    lambda d: d["params"].pop("P"),
+    lambda d: d["params"].update(p=3.5),
+    lambda d: d["params"].update(sigma=None),
+    lambda d: d["params"].update(P=2186),
+])
+def test_layered_json_rejects_malformed_params(edit):
+    li = build_layered(3, sigma=1e-4, t=1)
+    data = json.loads(li.to_json())
+    edit(data)
+    with pytest.raises(ValueError):
+        LayeredInstance.from_json(json.dumps(data))

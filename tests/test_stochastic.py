@@ -1,6 +1,7 @@
 """Perturbation models, chi closed forms, and the Monte Carlo estimators."""
 
 import io
+import json
 import math
 
 import numpy as np
@@ -111,6 +112,31 @@ def test_instance_json_non_finite_rejected(text):
 def test_instance_json_missing_key_rejected():
     with pytest.raises(ValueError):
         Instance.from_json('{"dim": 2, "sigma": 0.0, "seed": 1, "origins": [[0,0],[0,1],[1,0]]}')
+
+
+@pytest.mark.parametrize("edit", [
+    {"seed": 3.9}, {"dim": 2.7}, {"seed": "3"}, {"dim": True}, {"sigma": None},
+])
+def test_instance_json_rejects_non_integral_dim_and_seed(edit):
+    data = json.loads(perturb(make_origins("grid", 4, 2, 0), 0.1, 3).to_json())
+    data.update(edit)
+    with pytest.raises(ValueError, match=f"{next(iter(edit))!r} must be"):
+        Instance.from_json(json.dumps(data))
+
+
+def test_instance_json_accepts_integral_floats():
+    inst = perturb(make_origins("grid", 4, 2, 0), 0.1, 3)
+    data = json.loads(inst.to_json())
+    data.update(seed=3.0, dim=2.0)
+    again = Instance.from_json(json.dumps(data))
+    assert (again.seed, again.dim) == (3, 2) and type(again.seed) is int
+    assert np.array_equal(again.points, inst.points)
+
+
+@pytest.mark.parametrize("text", ["5", "[1, 2]", '"abc"', "null"])
+def test_instance_json_top_level_must_be_an_object(text):
+    with pytest.raises(ValueError, match="must be an object"):
+        Instance.from_json(text)
 
 
 def test_instance_regeneration_invariant():
@@ -319,3 +345,22 @@ def test_chi_square_tail_empirical_exceedance():
     true = math.exp(-(thr**2) / 2.0)
     assert exceed <= bound  # the bound is loose: 0.0017 << 0.0414
     assert abs(exceed - true) <= 4.0 * math.sqrt(true / 200_000)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: mc_ball_mass(2, 1.0, math.nan, 10, 0),
+    lambda: mc_line_closeness(2, 1.0, math.nan, 10, 0),
+    lambda: mc_ball_mass(2, math.nan, 1.0, 10, 0),
+    lambda: mc_line_closeness(2, math.nan, 1.0, 10, 0),
+    lambda: mc_dominance(2, math.nan, None, 10, 0),
+    lambda: chi_pdf(1.0, 2, math.nan),
+    lambda: chi_inverse_moment(2, 1.0, math.nan),
+    lambda: chi_square_tail(2, math.nan, 4.0),
+    lambda: chi_square_tail(2, 1.0, math.nan),
+    lambda: d_max_bound(10, math.nan),
+    lambda: OneStepSpec(phi=math.nan, dim=2, cells=np.zeros((1, 2))),
+], ids=["ball-eps", "line-eps", "ball-sigma", "line-sigma", "dominance-sigma", "chi-pdf",
+        "chi-moment", "chi-tail-sigma", "chi-tail-t", "d-max", "one-step-phi"])
+def test_nan_arguments_raise(call):
+    with pytest.raises(ValueError):
+        call()
