@@ -11,8 +11,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .exact import brute_force, held_karp, mst_length
 from .geometry import Metric
 from .harness import (
@@ -20,6 +18,7 @@ from .harness import (
     ROW_COLUMNS,
     VERIFY_SUITES,
     VerificationError,
+    _csv_lines,
     load_config,
     ratio_experiment,
     replay_row,
@@ -33,7 +32,7 @@ from .layered import (
     build_long_tour,
     check_containers,
 )
-from .stochastic import ORIGIN_RULES, Instance, make_origins, perturb
+from .stochastic import ORIGIN_RULES, Instance, _json_array, make_origins, perturb
 from .tour import PIVOTS, certify_two_optimality, run_two_opt, tour_length
 
 EXIT_OK = 0
@@ -76,7 +75,7 @@ def _load_layered(path: str) -> tuple[LayeredInstance, Instance]:
 def _cmd_gen(args) -> int:
     if args.origins.startswith("file:"):
         with open(args.origins[5:], "r", encoding="utf-8") as fh:
-            origins = np.asarray(json.load(fh), dtype=np.float64)
+            origins = _json_array(json.load(fh), "origins")
         if origins.ndim != 2:
             raise ValueError("origins file must hold a JSON list of coordinate rows")
         if args.n is not None and args.n != origins.shape[0]:
@@ -212,11 +211,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_replay(args) -> int:
     cfg = load_config(args.config)
-    row = replay_row(cfg, args.row_id)
-    from .harness import _format_cell
-
-    print(",".join(ROW_COLUMNS))
-    print(",".join(_format_cell(row.get(col)) for col in ROW_COLUMNS))
+    sys.stdout.writelines(_csv_lines([replay_row(cfg, args.row_id)], ROW_COLUMNS))
     return EXIT_OK
 
 

@@ -28,7 +28,7 @@ import functools
 import itertools
 import math
 import os
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy.integrate import quad
@@ -39,6 +39,7 @@ from .layered import _sized_params, build_layered, build_long_tour, check_contai
 from .stochastic import (
     ORIGIN_RULES,
     _check_sigma,
+    _gaussian_batch,
     chi_inverse_moment,
     chi_pdf,
     chi_square_tail,
@@ -349,11 +350,18 @@ def replay_row(cfg: SweepConfig, row_id: int) -> dict:
 def _format_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     return str(value)
+
+
+def _csv_lines(rows: Iterable[Mapping], columns: Sequence[str]) -> Iterator[str]:
+    """The header line, then one line per row."""
+    yield ",".join(columns) + "\n"
+    for row in rows:
+        yield ",".join(_format_cell(row.get(col)) for col in columns) + "\n"
 
 
 def write_csv(rows: Iterable[Mapping], path: str, columns: Sequence[str] = ROW_COLUMNS) -> None:
@@ -365,9 +373,7 @@ def write_csv(rows: Iterable[Mapping], path: str, columns: Sequence[str] = ROW_C
     tmp = path + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(columns) + "\n")
-            for row in rows:
-                fh.write(",".join(_format_cell(row.get(col)) for col in columns) + "\n")
+            fh.writelines(_csv_lines(rows, columns))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -503,102 +509,70 @@ class VerifyReport:
         return all(c.passed for c in self.checks)
 
 
-def _mc_slack(phat: float, samples: int, z: float = 3.0) -> float:
+def _check(name: str, statistic: float, bound: float, slack: float = 0.0) -> VerifyCheck:
+    """The pass rule of every bounded check: statistic <= bound + slack."""
+    return VerifyCheck(name, statistic, bound, slack, bool(statistic <= bound + slack))
+
+
+def _mc_slack(phat: float, samples: float) -> float:
+    """Three standard errors of a frequency phat over ``samples`` draws."""
     var = max(phat * (1.0 - phat), 1.0 / samples)
-    return z * math.sqrt(var / samples)
+    return 3.0 * math.sqrt(var / samples)
 
 
 def _suite_ball(samples: int, seed: int) -> list[VerifyCheck]:
-    grid = [
-        (1, 1.0, 0.5, 0.0),
-        (2, 1.0, 0.5, 0.0),
-        (3, 0.5, 0.2, 0.3),
-    ]
     checks = []
-    for k, (d, sigma, eps, off) in enumerate(grid):
-        center = np.zeros(d)
-        center[0] = off
-        freq = mc_ball_mass(d, sigma, eps, samples, seed + k, center=center)
-        bound = (eps / sigma) ** d
-        slack = _mc_slack(freq, samples)
-        checks.append(VerifyCheck(
-            name=f"ball d={d} sigma={sigma} eps={eps} offset={off}",
-            statistic=freq, bound=bound, slack=slack,
-            passed=freq <= bound + slack,
-        ))
+    for k, (d, sigma, eps, off) in enumerate([(1, 1.0, 0.5, 0.0), (2, 1.0, 0.5, 0.0),
+                                              (3, 0.5, 0.2, 0.3)]):
+        freq = mc_ball_mass(d, sigma, eps, samples, seed + k, center=[off] + [0.0] * (d - 1))
+        checks.append(_check(f"ball d={d} sigma={sigma} eps={eps} offset={off}",
+                             freq, (eps / sigma) ** d, _mc_slack(freq, samples)))
     return checks
 
 
 def _suite_line(samples: int, seed: int) -> list[VerifyCheck]:
-    grid = [
-        (2, 1.0, 0.1, None),
-        (3, 1.0, 0.3, None),
-        (3, 0.5, 0.1, ([0.2, 0.0, 0.0], [0.2, 1.0, 0.0])),
-    ]
+    shifted = ([0.2, 0.0, 0.0], [0.2, 1.0, 0.0])
     checks = []
-    for k, (d, sigma, eps, line) in enumerate(grid):
-        a, b = line if line is not None else (None, None)
+    for k, (d, sigma, eps, line) in enumerate([(2, 1.0, 0.1, None), (3, 1.0, 0.3, None),
+                                               (3, 0.5, 0.1, shifted)]):
+        a, b = line or (None, None)
         freq = mc_line_closeness(d, sigma, eps, samples, seed + k, a=a, b=b)
-        bound = (eps / sigma) ** (d - 1)
-        slack = _mc_slack(freq, samples)
-        checks.append(VerifyCheck(
-            name=f"line d={d} sigma={sigma} eps={eps} axis={'shifted' if line else 'mean'}",
-            statistic=freq, bound=bound, slack=slack,
-            passed=freq <= bound + slack,
-        ))
+        name = f"line d={d} sigma={sigma} eps={eps} axis={'shifted' if line else 'mean'}"
+        checks.append(_check(name, freq, (eps / sigma) ** (d - 1), _mc_slack(freq, samples)))
     return checks
 
 
 def _suite_dominance(samples: int, seed: int) -> list[VerifyCheck]:
-    grid = [
-        (2, 1.0, [1.0, 0.0]),
-        (3, 1.0, [0.5, 0.0, 0.0]),
-        (2, 0.5, [1.5, 0.0]),
-    ]
     checks = []
-    for k, (d, sigma, mu) in enumerate(grid):
+    for k, (d, sigma, mu) in enumerate([(2, 1.0, [1.0, 0.0]), (3, 1.0, [0.5, 0.0, 0.0]),
+                                        (2, 0.5, [1.5, 0.0])]):
         sample = mc_dominance(d, sigma, mu, samples, seed + k)
         qs = np.percentile(np.concatenate([sample.a, sample.b]), np.arange(5, 100, 5))
-        fa = sample.cdf_a(qs)
-        fb = sample.cdf_b(qs)
-        diff = fb - fa
-        worst = int(np.argmax(diff))
-        fbar = 0.5 * (fa[worst] + fb[worst])
-        slack = 3.0 * math.sqrt(max(2.0 * fbar * (1.0 - fbar), 2.0 / samples) / samples)
-        checks.append(VerifyCheck(
-            name=f"dominance d={d} sigma={sigma} |mu|={np.linalg.norm(mu):g}",
-            statistic=float(diff[worst]), bound=0.0, slack=slack,
-            passed=bool(diff[worst] <= slack),
-        ))
+        fa, fb = sample.cdf_a(qs), sample.cdf_b(qs)
+        worst = int(np.argmax(fb - fa))
+        # a difference of two independent frequencies: twice the variance of one
+        checks.append(_check(f"dominance d={d} sigma={sigma} |mu|={np.linalg.norm(mu):g}",
+                             float(fb[worst] - fa[worst]), 0.0,
+                             _mc_slack(0.5 * (fa[worst] + fb[worst]), samples / 2)))
     return checks
 
 
 def _suite_tail(samples: int, seed: int) -> list[VerifyCheck]:
-    grid = [(1, 1.0, 3.0), (2, 1.0, 3.0), (2, 1.0, 5.0)]
     checks = []
-    for k, (d, sigma, t) in enumerate(grid):
+    for k, (d, sigma, t) in enumerate([(1, 1.0, 3.0), (2, 1.0, 3.0), (2, 1.0, 5.0)]):
         threshold, bound = chi_square_tail(d, sigma, t)
-        rng = np.random.default_rng(seed + k)
-        z = sigma * rng.standard_normal((samples, d))
+        z = _gaussian_batch(np.random.default_rng(seed + k), samples, d, sigma)
         freq = float(np.mean(np.einsum("ij,ij->i", z, z) >= threshold * threshold))
-        slack = _mc_slack(freq, samples)
-        checks.append(VerifyCheck(
-            name=f"tail d={d} sigma={sigma} t={t:g}",
-            statistic=freq, bound=bound, slack=slack,
-            passed=freq <= bound + slack,
-        ))
+        checks.append(_check(f"tail d={d} sigma={sigma} t={t:g}", freq, bound,
+                             _mc_slack(freq, samples)))
     return checks
 
 
 def _suite_chi(samples: int, seed: int) -> list[VerifyCheck]:
     checks = []
     for d in range(1, 7):
-        total, quad_err = quad(lambda x: chi_pdf(x, d, 1.3), 0.0, 26.0)
-        err = abs(total - 1.0)
-        checks.append(VerifyCheck(
-            name=f"chi normalization d={d} sigma=1.3",
-            statistic=err, bound=1e-8, slack=0.0, passed=err <= 1e-8,
-        ))
+        total, _ = quad(lambda x: chi_pdf(x, d, 1.3), 0.0, 26.0)
+        checks.append(_check(f"chi normalization d={d} sigma=1.3", abs(total - 1.0), 1e-8))
     # d = 1, 2, 3 against the textbook half-normal / Rayleigh / Maxwell forms
     xs = np.linspace(0.05, 6.0, 40)
     for d, sigma, reference in [
@@ -606,62 +580,41 @@ def _suite_chi(samples: int, seed: int) -> list[VerifyCheck]:
         (2, 1.1, lambda x, s: x / s**2 * np.exp(-(x / s) ** 2 / 2.0)),
         (3, 0.9, lambda x, s: math.sqrt(2.0 / math.pi) * x**2 / s**3 * np.exp(-(x / s) ** 2 / 2.0)),
     ]:
-        ours = chi_pdf(xs, d, sigma)
         ref = reference(xs, sigma)
-        rel = float(np.max(np.abs(ours - ref) / ref))
-        checks.append(VerifyCheck(
-            name=f"chi closed form d={d} sigma={sigma}",
-            statistic=rel, bound=1e-10, slack=0.0, passed=rel <= 1e-10,
-        ))
+        rel = float(np.max(np.abs(chi_pdf(xs, d, sigma) - ref) / ref))
+        checks.append(_check(f"chi closed form d={d} sigma={sigma}", rel, 1e-10))
     if samples > 0:
+        # the empirical CDF at x = sigma against the integrated density
         d, sigma = 3, 0.8
-        rng = np.random.default_rng(seed)
-        z = sigma * rng.standard_normal((samples, d))
-        norms = np.sqrt(np.einsum("ij,ij->i", z, z))
-        x0 = sigma  # compare the empirical CDF at x0 with the integrated density
-        cdf_true, _ = quad(lambda x: chi_pdf(x, d, sigma), 0.0, x0)
-        freq = float(np.mean(norms <= x0))
-        slack = _mc_slack(freq, samples)
-        checks.append(VerifyCheck(
-            name=f"chi empirical cdf d={d} sigma={sigma} x={x0}",
-            statistic=abs(freq - cdf_true), bound=0.0, slack=slack,
-            passed=abs(freq - cdf_true) <= slack,
-        ))
+        z = _gaussian_batch(np.random.default_rng(seed), samples, d, sigma)
+        freq = float(np.mean(np.sqrt(np.einsum("ij,ij->i", z, z)) <= sigma))
+        cdf_true, _ = quad(lambda x: chi_pdf(x, d, sigma), 0.0, sigma)
+        checks.append(_check(f"chi empirical cdf d={d} sigma={sigma} x={sigma}",
+                             abs(freq - cdf_true), 0.0, _mc_slack(freq, samples)))
     return checks
 
 
 def _suite_integral(samples: int, seed: int) -> list[VerifyCheck]:
     checks = []
     for d in range(2, 13):
-        for c in (1, 2):
-            if c >= d:
-                continue
-            sigma = 1.0 if d % 2 == 0 else 0.7
+        sigma = 1.0 if d % 2 == 0 else 0.7
+        for c in range(1, min(d, 3)):  # c in {1, 2} with c < d
             closed = chi_inverse_moment(d, c, sigma)
             numeric, _ = quad(
                 lambda x: chi_pdf(x, d, sigma) * x ** (-c), 0.0, 30.0 * sigma,
                 points=[sigma * 1e-6, sigma],
             )
-            rel = abs(closed - numeric) / closed
-            checks.append(VerifyCheck(
-                name=f"inverse moment d={d} c={c} sigma={sigma}",
-                statistic=rel, bound=1e-6, slack=0.0, passed=rel <= 1e-6,
-            ))
+            checks.append(_check(f"inverse moment d={d} c={c} sigma={sigma}",
+                                 abs(closed - numeric) / closed, 1e-6))
     if samples > 0:
         # replacing |mean-shifted| norms by centered chi is pessimistic for
         # any decreasing positive h; spot-check h(x) = 1/x
         d, sigma, mu = 3, 1.0, np.array([1.0, 0.0, 0.0])
-        rng = np.random.default_rng(seed)
-        b = sigma * rng.standard_normal((samples, d)) + mu
+        b = _gaussian_batch(np.random.default_rng(seed), samples, d, sigma, mu)
         inv = 1.0 / np.sqrt(np.einsum("ij,ij->i", b, b))
-        mean = float(inv.mean())
-        bound = chi_inverse_moment(d, 1, sigma)
-        slack = 3.0 * float(inv.std(ddof=1)) / math.sqrt(samples)
-        checks.append(VerifyCheck(
-            name=f"inverse-moment dominance d={d} c=1 |mu|=1",
-            statistic=mean, bound=bound, slack=slack,
-            passed=mean <= bound + slack,
-        ))
+        checks.append(_check(f"inverse-moment dominance d={d} c=1 |mu|=1", float(inv.mean()),
+                             chi_inverse_moment(d, 1, sigma),
+                             3.0 * float(inv.std(ddof=1)) / math.sqrt(samples)))
     return checks
 
 

@@ -231,7 +231,11 @@ class LayeredInstance:
 
     @classmethod
     def from_json(cls, source: str | IO[str]) -> tuple["LayeredInstance", Instance]:
-        """Load a ``to_json`` file; its labels and origins must match the rebuilt construction."""
+        """Load a ``to_json`` file; its labels and origins must match the rebuilt construction.
+
+        Its points must then regenerate from origins, sigma and seed, as for
+        ``Instance.from_json``.
+        """
         data = json.loads(source if isinstance(source, str) else source.read())
         inst = Instance._from_data(data)
         _json_object(data, ("labels", "params"), "layered-instance JSON")
@@ -244,6 +248,7 @@ class LayeredInstance:
         if data["labels"] != [list(key) for key in li.labels]:
             raise ValueError("labels do not match the construction")
         li._check_origins(inst)
+        inst._check_regenerates()
         return li, inst
 
 

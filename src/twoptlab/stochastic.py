@@ -73,9 +73,20 @@ def _json_object(data, keys: tuple[str, ...], what: str) -> None:
 def _json_number(data: dict, key: str, integral: bool = False):
     """``data[key]`` as a float, or as an int if ``integral``; other values raise."""
     value = data[key]
-    if type(value) is int or type(value) is float and (not integral or value.is_integer()):
-        return int(value) if integral else float(value)
-    raise ValueError(f"{key!r} must be {'an integer' if integral else 'a number'}, got {value!r}")
+    try:
+        if type(value) is int or type(value) is float and (not integral or value.is_integer()):
+            return int(value) if integral else float(value)
+    except OverflowError:
+        pass
+    raise ValueError(f"{key!r} must be {'an integer' if integral else 'a number'}, got {value!r:.60}")
+
+
+def _json_array(value, key: str) -> np.ndarray:
+    """A JSON list of coordinate rows as a float array; values that are not numbers raise."""
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"{key!r} must hold numbers: {exc}") from None
 
 
 @dataclasses.dataclass
@@ -135,7 +146,16 @@ class Instance:
 
     @classmethod
     def from_json(cls, source: str | IO[str]) -> "Instance":
-        return cls._from_data(json.loads(source if isinstance(source, str) else source.read()))
+        """Load a ``to_json`` file; its points must regenerate from origins, sigma and seed."""
+        inst = cls._from_data(json.loads(source if isinstance(source, str) else source.read()))
+        inst._check_regenerates()
+        return inst
+
+    def _check_regenerates(self) -> None:
+        """Raise unless ``perturb(origins, sigma, seed)`` rebuilds ``points`` exactly."""
+        again = perturb(self.origins, self.sigma, self.seed, allow_large_sigma=True)
+        if not np.array_equal(again.points, self.points):
+            raise ValueError("points do not regenerate from origins, sigma and seed")
 
     @classmethod
     def _from_data(cls, data) -> "Instance":
@@ -144,8 +164,8 @@ class Instance:
             dim=_json_number(data, "dim", integral=True),
             sigma=_json_number(data, "sigma"),
             seed=_json_number(data, "seed", integral=True),
-            origins=np.asarray(data["origins"], dtype=np.float64),
-            points=np.asarray(data["points"], dtype=np.float64),
+            origins=_json_array(data["origins"], "origins"),
+            points=_json_array(data["points"], "points"),
         )
 
 
@@ -342,6 +362,9 @@ def chi_square_tail(d: int, sigma: float, t: float) -> tuple[float, float]:
 
 
 def _gaussian_batch(rng: np.random.Generator, samples: int, d: int, sigma: float, mean=None):
+    """``samples`` draws of N(mean, sigma^2 I_d) as rows; mean defaults to the origin."""
+    if samples < 1:
+        raise ValueError(f"need at least one sample, got {samples}")
     _check_sigma(sigma, allow_large_sigma=True)
     z = sigma * rng.standard_normal((samples, d))
     if mean is not None:
@@ -365,8 +388,6 @@ def mc_ball_mass(
     """
     if not eps >= 0.0:
         raise ValueError(f"eps must be non-negative, got {eps}")
-    if samples < 1:
-        raise ValueError(f"need at least one sample, got {samples}")
     rng = np.random.default_rng(seed)
     z = _gaussian_batch(rng, samples, d, sigma, mean)
     if center is not None:
@@ -394,8 +415,6 @@ def mc_line_closeness(
         raise ValueError("line closeness needs d >= 2")
     if not eps >= 0.0:
         raise ValueError(f"eps must be non-negative, got {eps}")
-    if samples < 1:
-        raise ValueError(f"need at least one sample, got {samples}")
     if (a is None) != (b is None):
         raise ValueError("give both line endpoints or neither")
     rng = np.random.default_rng(seed)
@@ -439,14 +458,12 @@ class DominanceSample:
 
 def mc_dominance(d: int, sigma: float, mu, samples: int, seed: int) -> DominanceSample:
     """Sample |N(0, sigma^2 I)| and |N(mu, sigma^2 I)| for a dominance check."""
-    if samples < 1:
-        raise ValueError(f"need at least one sample, got {samples}")
     rng = np.random.default_rng(seed)
     mu = np.zeros(d) if mu is None else np.asarray(mu, dtype=np.float64)
     if mu.shape != (d,):
         raise ValueError(f"mu must have shape ({d},), got {mu.shape}")
     za = _gaussian_batch(rng, samples, d, sigma)
-    zb = _gaussian_batch(rng, samples, d, sigma) + mu
+    zb = _gaussian_batch(rng, samples, d, sigma, mu)
     a = np.sort(np.sqrt(np.einsum("ij,ij->i", za, za)))
     b = np.sort(np.sqrt(np.einsum("ij,ij->i", zb, zb)))
     return DominanceSample(a=a, b=b)

@@ -88,6 +88,44 @@ def test_gen_rejects_non_finite_origins_file(tmp_path):
     assert not out.exists()
 
 
+_HUGE = int("1" * 400)
+
+
+@pytest.mark.parametrize("rows", [
+    [[_HUGE, 0.0], [0.0, 1.0], [1.0, 0.0]],
+    [{"x": 0.0}, {"x": 1.0}],
+], ids=["huge-integer", "object-rows"])
+def test_gen_rejects_origins_file_that_is_not_numbers(tmp_path, capsys, rows):
+    origins_path = tmp_path / "origins.json"
+    origins_path.write_text(json.dumps(rows))
+    out = tmp_path / "x.json"
+    assert run_cli("gen", "--origins", f"file:{origins_path}", "-o", str(out)) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+def _huge_point(data):
+    data["points"][0][0] = _HUGE
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.update(sigma=_HUGE),
+    _huge_point,
+    lambda d: d.update(origins=[{"x": 0.0, "y": 0.0}] * len(d["origins"])),
+    lambda d: d["points"][2].__setitem__(1, d["points"][2][1] + 1e-3),
+], ids=["huge-sigma", "huge-point", "object-origins", "moved-point"])
+def test_malformed_or_edited_instance_file_exits_1(tmp_path, capsys, edit):
+    inst_path = tmp_path / "inst.json"
+    assert run_cli("gen", "--n", "6", "--sigma", "0.1", "--seed", "3",
+                   "-o", str(inst_path)) == EXIT_OK
+    data = json.loads(inst_path.read_text())
+    edit(data)
+    inst_path.write_text(json.dumps(data))
+    assert run_cli("run", "--instance", str(inst_path)) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
 def test_gen_requires_n_without_file(tmp_path):
     assert run_cli("gen", "-o", str(tmp_path / "x.json")) == EXIT_VALIDATION
 

@@ -268,6 +268,21 @@ def test_write_csv_formatting(tmp_path):
     rows = [{"row_id": 0, "sigma": 0.1, "converged": True, "ratio": None}]
     write_csv(rows, str(path), columns=["row_id", "sigma", "converged", "ratio"])
     assert path.read_text() == "row_id,sigma,converged,ratio\n0,0.1,true,\n"
+    # numpy scalars write the same cells as the Python values
+    rows = [{"row_id": 0, "sigma": np.float64(0.1), "converged": np.bool_(True), "ratio": None}]
+    write_csv(rows, str(path), columns=["row_id", "sigma", "converged", "ratio"])
+    assert path.read_text() == "row_id,sigma,converged,ratio\n0,0.1,true,\n"
+
+
+@pytest.mark.parametrize("make_rows", [
+    lambda: ratio_experiment(6, np.array([0.1, 0.3]), restarts=2, seeds=1),
+    lambda: run_sweep(SweepConfig(n=(6,), sigma=(np.float64(0.1), np.float64(0.3)), seeds=1)),
+], ids=["ratio-array-grid", "sweep-numpy-sigma"])
+def test_numpy_sigma_grid_writes_plain_floats(tmp_path, make_rows):
+    path = tmp_path / "rows.csv"
+    rows = make_rows()
+    write_csv(rows, str(path), columns=["sigma"])
+    assert path.read_text() == "sigma\n0.1\n0.3\n"
 
 
 def test_write_csv_error_leaves_no_tmp(tmp_path):
@@ -390,7 +405,7 @@ def test_verify_integral_without_sampling():
 
 
 def test_verify_monte_carlo_suites_reduced_samples():
-    for name in ("ball", "line", "tail"):
+    for name in ("ball", "line", "tail", "dominance", "chi", "integral"):
         report = verify_suite(name, samples=20_000, seed=5)
         assert report.suite == name
         assert report.passed, [

@@ -273,6 +273,8 @@ TAMPERINGS = {
                        "labels do not match"),
     "unknown part": (lambda d: d["labels"].__setitem__(3, ["V9", 0]), "labels do not match"),
     "moved origin": (_move_one_origin, "origins do not match"),
+    "moved point": (lambda d: d["points"][7].__setitem__(0, d["points"][7][0] + 1e-3),
+                    "points do not regenerate"),
 }
 
 

@@ -139,6 +139,16 @@ def test_instance_json_top_level_must_be_an_object(text):
         Instance.from_json(text)
 
 
+def test_instance_json_points_must_regenerate():
+    data = json.loads(perturb(make_origins("uniform", 6, 2, 0), 0.1, 3).to_json())
+    data["points"][2][1] += 1e-3
+    with pytest.raises(ValueError, match="do not regenerate"):
+        Instance.from_json(json.dumps(data))
+    # a one-step sample stores origins == points at sigma 0, so it regenerates
+    sample = one_step_sample(OneStepSpec(phi=4.0, dim=2, cells=np.zeros((1, 2))), 5, seed=2)
+    assert np.array_equal(Instance.from_json(sample.to_json()).points, sample.points)
+
+
 def test_instance_regeneration_invariant():
     inst = perturb(make_origins("grid", 10, 2, 0), 0.2, seed=77)
     again = perturb(inst.origins, inst.sigma, inst.seed)
@@ -345,6 +355,16 @@ def test_chi_square_tail_empirical_exceedance():
     true = math.exp(-(thr**2) / 2.0)
     assert exceed <= bound  # the bound is loose: 0.0017 << 0.0414
     assert abs(exceed - true) <= 4.0 * math.sqrt(true / 200_000)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: mc_ball_mass(2, 1.0, 0.5, 0, 0),
+    lambda: mc_line_closeness(2, 1.0, 0.5, 0, 0),
+    lambda: mc_dominance(2, 1.0, None, 0, 0),
+], ids=["ball", "line", "dominance"])
+def test_mc_estimators_need_one_sample(call):
+    with pytest.raises(ValueError, match="at least one sample"):
+        call()
 
 
 @pytest.mark.parametrize("call", [
