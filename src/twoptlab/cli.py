@@ -33,7 +33,7 @@ from .layered import (
     check_containers,
 )
 from .stochastic import ORIGIN_RULES, Instance, _json_array, make_origins, perturb
-from .tour import PIVOTS, certify_two_optimality, run_two_opt, tour_length
+from .tour import _INIT_RULES, PIVOTS, certify_two_optimality, run_two_opt, tour_length
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -261,7 +261,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("run", help="run 2-opt on an instance")
     p.add_argument("--instance", required=True)
     p.add_argument("--metric", choices=[m.value for m in Metric], default="l2")
-    p.add_argument("--init", choices=["random", "nn", "greedy"], default="random")
+    p.add_argument("--init", choices=list(_INIT_RULES), default="random")
     p.add_argument("--pivot", choices=PIVOTS, default="first")
     p.add_argument("--eps", type=float, default=1e-12)
     p.add_argument("--seed", type=int, default=None,

@@ -173,9 +173,17 @@ class SweepConfig:
                 _sized_params(self.p, s, self.t)
 
 
+# the config keys each experiment reads
+_KNOWN_KEYS = frozenset(f.name for f in dataclasses.fields(SweepConfig))
+_EXPERIMENT_KEYS = {
+    "two_opt": _KNOWN_KEYS - {"p", "t"},
+    "lb": frozenset({"experiment", "p", "t", "sigma", "seeds", "base_seed", "eps"}),
+}
+
+
 def parse_config(text: str) -> SweepConfig:
-    """Parse the flat key=value format; reject unknown or repeated keys."""
-    known = {f.name for f in dataclasses.fields(SweepConfig)}
+    """Parse the flat key=value format; reject unknown or repeated keys and
+    keys the config's experiment does not read."""
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -186,7 +194,7 @@ def parse_config(text: str) -> SweepConfig:
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.split("#", 1)[0].strip()
-        if key not in known:
+        if key not in _KNOWN_KEYS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
         if key in raw:
             raise ValueError(f"config line {lineno}: repeated key {key!r}")
@@ -219,6 +227,9 @@ def parse_config(text: str) -> SweepConfig:
         else:
             setattr(cfg, key, value)
     cfg.validate()
+    unread = sorted(set(raw) - _EXPERIMENT_KEYS[cfg.experiment])
+    if unread:
+        raise ValueError(f"{cfg.experiment} sweeps do not read the config keys {unread}")
     return cfg
 
 

@@ -51,9 +51,7 @@ import numpy as np
 from .exact import mst_length
 from .geometry import Metric, vec_dist
 from .stochastic import Instance, _check_sigma, _json_number, _json_object, perturb
-from .tour import (
-    Tour, _check_stopping, _coord_dists, _nn_walk, _scan, certify_two_optimality, tour_length,
-)
+from .tour import Tour, _check_stopping, _coord_dists, _nn_walk, _scan, tour_length
 
 __all__ = [
     "LayeredParams",
@@ -63,7 +61,6 @@ __all__ = [
     "build_layered",
     "build_long_tour",
     "check_containers",
-    "certify_two_optimality",
     "ratio_lower_bound",
 ]
 

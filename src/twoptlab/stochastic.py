@@ -70,23 +70,32 @@ def _json_object(data, keys: tuple[str, ...], what: str) -> None:
         raise ValueError(f"{what} must be an object with keys {list(keys)}, got {str(data)[:60]}")
 
 
-def _json_number(data: dict, key: str, integral: bool = False):
-    """``data[key]`` as a float, or as an int if ``integral``; other values raise."""
-    value = data[key]
+def _json_value(value, what: str, integral: bool = False):
+    """A parsed JSON number as a float, or as an int if ``integral``; other values raise.
+
+    Only an int or a float is a number (a bool is not), and a float must be
+    able to hold it.
+    """
     try:
         if type(value) is int or type(value) is float and (not integral or value.is_integer()):
             return int(value) if integral else float(value)
     except OverflowError:
         pass
-    raise ValueError(f"{key!r} must be {'an integer' if integral else 'a number'}, got {value!r:.60}")
+    kind = "an integer" if integral else "a number"
+    raise ValueError(f"{what} must be {kind}, got {value!r:.60}")
+
+
+def _json_number(data: dict, key: str, integral: bool = False):
+    """``data[key]`` as a float, or as an int if ``integral``; other values raise."""
+    return _json_value(data[key], repr(key), integral)
 
 
 def _json_array(value, key: str) -> np.ndarray:
-    """A JSON list of coordinate rows as a float array; values that are not numbers raise."""
-    try:
-        return np.asarray(value, dtype=np.float64)
-    except (TypeError, OverflowError) as exc:
-        raise ValueError(f"{key!r} must hold numbers: {exc}") from None
+    """A JSON list of coordinate rows as a float array; each element must be a number."""
+    cells = np.asarray(value, dtype=object)
+    what = f"each element of {key!r}"
+    floats = [_json_value(x, what) for x in cells.flat]
+    return np.array(floats, dtype=np.float64).reshape(cells.shape)
 
 
 @dataclasses.dataclass

@@ -241,16 +241,19 @@ def tour_length(tour: Tour | Sequence[int], inst_or_points, metric: Metric | str
 PIVOTS = ("first", "best", "random")
 
 
+# every accepted name of a start rule -> the rule it names
+_INIT_RULES = {
+    "random": "random",
+    "nearest_neighbor": "nearest_neighbor",
+    "nn": "nearest_neighbor",
+    "greedy_insertion": "greedy_insertion",
+    "greedy": "greedy_insertion",
+}
+
+
 def _rule_token(rule: str) -> str:
-    aliases = {
-        "random": "random",
-        "nearest_neighbor": "nearest_neighbor",
-        "nn": "nearest_neighbor",
-        "greedy_insertion": "greedy_insertion",
-        "greedy": "greedy_insertion",
-    }
     try:
-        return aliases[rule]
+        return _INIT_RULES[rule]
     except KeyError:
         raise ValueError(f"unknown initial-tour rule {rule!r}") from None
 
@@ -544,40 +547,44 @@ def _flip(P: np.ndarray, lo: int, hi: int) -> None:
         P[:, bottom] = tmp[:, ::-1]
 
 
-def _outer(n: int, i: int, j: int) -> bool:
-    """Whether _reverse_segment reverses the outer side of the pair (i, j)."""
-    return 2 * (j - i) > n
+def _reverse_segment(order: np.ndarray, i: int, j: int,
+                     P: np.ndarray | None = None) -> tuple[int, int]:
+    """Reverse positions i+1..j (inclusive) in place; return the positions of the added edges.
 
-
-def _reverse_segment(order: np.ndarray, i: int, j: int, P: np.ndarray | None = None) -> np.ndarray:
-    """Reverse positions i+1..j (inclusive) in place; picks the shorter side, ties inner.
-
-    The outer side is reversed as three flips -- positions i+1..j, then
-    0..i, then i+1..n-1 -- which leaves the order rotated: it starts at
-    order[i].  ``P``, the (n+1) x (n+1) position matrix of ``order``, is
+    The shorter side is reversed, ties inner.  The inner side leaves the
+    added edges at i and j.  The outer side is reversed as three flips --
+    positions i+1..j, then 0..i, then i+1..n-1 -- which turn A + B + C
+    (B = positions i+1..j) into rev(A) + rev(C) + B, an order that starts at
+    the old order[i]; the added edges then sit at n-1-(j-i) and at the wrap
+    position n-1.  ``P``, the (n+1) x (n+1) position matrix of ``order``, is
     kept in step; its wrap row and column n are copies of row and column 0.
     """
     n = order.size
-    flips = [(i + 1, j + 1)]
-    if _outer(n, i, j):
+    flips, added = [(i + 1, j + 1)], (i, j)
+    if 2 * (j - i) > n:
         flips += [(0, i + 1), (i + 1, n)]
+        added = (n - 1 - (j - i), n - 1)
     for lo, hi in flips:
         order[lo:hi] = order[lo:hi][::-1]
         if P is not None:
             _flip(P, lo, hi)
-            P[n] = P[0]
-            P[:, n] = P[:, 0]
-    return order
+    if P is not None:
+        P[n] = P[0]
+        P[:, n] = P[:, 0]
+    return added
 
 
-def _added_positions(n: int, i: int, j: int) -> tuple[int, int]:
-    """Positions of the two edges the change (i, j) adds, after _reverse_segment.
+def _coord_scan(inst_or_points, tour, metric, pivot: str, eps: float, rng=None):
+    """The pick (i, j, change) of one coordinate scan of the tour, or None.
 
-    The inner side leaves them at i and j.  The outer side's flips turn
-    A + B + C (B = positions i+1..j) into rev(A) + rev(C) + B, so they sit
-    at n-1-(j-i) and at the wrap position n-1.
+    Checks eps, the points and the tour, then runs _scan_points over the
+    tour-ordered points (the ball filter of the module docstring).
     """
-    return (n - 1 - (j - i), n - 1) if _outer(n, i, j) else (i, j)
+    _check_stopping(eps)
+    pts = _coords(inst_or_points)
+    order = _tour_order(tour, pts.shape[0])
+    hit = _scan_points(pts[order], metric, pivot, eps, rng)
+    return None if hit is None else (hit[0], hit[1], _make_change(order, *hit))
 
 
 def find_improving(
@@ -590,21 +597,13 @@ def find_improving(
 ) -> TwoChange | None:
     """Search the tour for an improving 2-change under the pivot rule.
 
-    One scan, so it reads distances from coordinates (no n x n matrix).  A
-    pair with gain > eps has d(x1,x3) < d(x1,x2) + tau or d(x2,x4) <
-    d(x3,x4) + tau, with tau an ulp of twice the longest edge (the module
-    docstring shows why), so only the pairs a KD-tree ball query finds are
-    evaluated while they are few; the pick, and the draw of a random pivot,
-    are those of the full scan, bit for bit.
+    One scan from coordinates (no n x n matrix), pruned by the exact ball
+    filter of the module docstring; the pick, and the draw of a random
+    pivot, are those of the full scan, bit for bit.
     """
     _check_pivot(pivot)
-    _check_stopping(eps)
-    pts = _coords(inst_or_points)
-    order = _tour_order(tour, pts.shape[0])
-    hit = _scan_points(pts[order], metric, pivot, eps, np.random.default_rng(seed))
-    if hit is None:
-        return None
-    return _make_change(order, *hit)
+    found = _coord_scan(inst_or_points, tour, metric, pivot, eps, np.random.default_rng(seed))
+    return None if found is None else found[2]
 
 
 def apply_two_change(tour: Tour, change: TwoChange) -> Tour:
@@ -635,14 +634,13 @@ def apply_two_change(tour: Tour, change: TwoChange) -> Tour:
         i, j = j, i
     if i == j or j == i + 1 or (i == 0 and j == n - 1):
         raise ValueError(f"removed edges {change.removed} are adjacent in the tour")
-    produced = {frozenset((int(order[i]), int(order[j]))),
-                frozenset((int(order[(i + 1) % n]), int(order[(j + 1) % n])))}
-    wanted = {frozenset(change.added[0]), frozenset(change.added[1])}
-    if produced != wanted:
+    produced = {frozenset(e) for e in _make_change(order, i, j, change.gain).added}
+    if produced != {frozenset(e) for e in change.added}:
         raise ValueError(
             f"added edges {change.added} do not reconnect the removed pair into a tour"
         )
-    new_order = _reverse_segment(order.copy(), i, j)
+    new_order = order.copy()
+    _reverse_segment(new_order, i, j)
     cached = None
     if tour.cached_length is not None:
         cached = tour.cached_length - change.gain
@@ -674,7 +672,7 @@ def run_two_opt(
     pts = _coords(inst_or_points)
     n = pts.shape[0]
     rng = np.random.default_rng(seed)
-    order = initial_tour(pts, metric, rule, rng).order.copy()
+    order = initial_tour(pts, metric, rule, rng).order
     # the position matrix P[a, b] = d(order[a % n], order[b % n]): the tour's
     # edges lie on its first superdiagonal and the kernel's blocks are slices
     P = pairwise_distances(pts[np.append(order, order[0])], metric)
@@ -710,11 +708,10 @@ def run_two_opt(
             changes.append(_make_change(order, i, j, gain))
         iterations += 1
         min_gain = gain if min_gain is None else min(min_gain, gain)
-        order = _reverse_segment(order, i, j, P)
-        undo = _added_positions(n, i, j)
+        undo = _reverse_segment(order, i, j, P)
 
-    final_tour = Tour.from_order(order)
-    final_length = float(np.roll(el, -int(np.flatnonzero(order == 0)[0])).sum())
+    # the flips leave the order rotated; the record starts at vertex 0
+    shift = -int(np.flatnonzero(order == 0)[0])
     return RunRecord(
         seed=int(seed),
         metric=Metric.parse(metric).value,
@@ -723,11 +720,11 @@ def run_two_opt(
         n=n,
         eps=eps,
         initial_length=initial_length,
-        final_length=final_length,
+        final_length=float(np.roll(el, shift).sum()),
         iterations=iterations,
         min_gain_observed=min_gain,
         converged=converged,
-        final_order=[int(v) for v in final_tour.order],
+        final_order=np.roll(order, shift).tolist(),
         changes=changes,
     )
 
@@ -741,24 +738,16 @@ def certify_two_optimality(
     """Full scan for the maximum-gain improving pair; None if 2-optimal.
 
     Works directly from coordinates (no n x n matrix), so it stays cheap and
-    bit-accurate on large, nearly-degenerate instances.  A pair can gain
-    more than eps > 0 only if d(x1,x3) < d(x1,x2) + tau or d(x2,x4) <
-    d(x3,x4) + tau, where tau is an ulp of twice the longest edge: otherwise
-    the gain's left-to-right sum is <= 0 (see the module docstring).  So on
-    a tour with few long edges, such as a designated 2-optimal one, only the
-    pairs found by KD-tree ball queries of those radii are evaluated, and the
-    verdict equals the full scan's bit for bit; O(n log n + candidates)
-    instead of O(n^2) gains.
+    bit-accurate on large, nearly-degenerate instances.  On a tour with few
+    long edges, such as a designated 2-optimal one, the exact ball filter of
+    the module docstring evaluates O(n log n + candidates) instead of O(n^2)
+    gains, and the verdict equals the full scan's bit for bit.
     """
-    _check_stopping(eps)
-    pts = _coords(inst_or_points)
-    order = _tour_order(tour, pts.shape[0])
-    worst = _scan_points(pts[order], metric, "best", eps)
-    if worst is None:
+    found = _coord_scan(inst_or_points, tour, metric, "best", eps)
+    if found is None:
         return None
-    i, j, g = worst
-    change = _make_change(order, i, j, g)
-    return Violation(i=i, j=j, removed=change.removed, added=change.added, gain=g)
+    i, j, change = found
+    return Violation(i=i, j=j, removed=change.removed, added=change.added, gain=change.gain)
 
 
 def min_improvement(

@@ -57,6 +57,17 @@ def test_run_is_deterministic(tmp_path, capsys):
     assert json.loads(first)["changes"] is not None
 
 
+@pytest.mark.parametrize("name, alias", [("nearest_neighbor", "nn"), ("greedy_insertion", "greedy")])
+def test_run_accepts_every_start_rule_name(tmp_path, capsys, name, alias):
+    inst_path = tmp_path / "inst.json"
+    run_cli("gen", "--n", "10", "--sigma", "0.2", "--seed", "1", "-o", str(inst_path))
+    assert run_cli("run", "--instance", str(inst_path), "--init", alias) == EXIT_OK
+    short = capsys.readouterr().out
+    assert run_cli("run", "--instance", str(inst_path), "--init", name) == EXIT_OK
+    assert capsys.readouterr().out == short
+    assert json.loads(short)["init"] == name
+
+
 def test_gen_from_origins_file(tmp_path):
     origins = [[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.2, 0.4]]
     origins_path = tmp_path / "origins.json"
@@ -94,7 +105,9 @@ _HUGE = int("1" * 400)
 @pytest.mark.parametrize("rows", [
     [[_HUGE, 0.0], [0.0, 1.0], [1.0, 0.0]],
     [{"x": 0.0}, {"x": 1.0}],
-], ids=["huge-integer", "object-rows"])
+    [["0.1", "0.2"], ["0.3", "0.9"], [True, 0.5]],
+    [[0.1, 0.2], [0.3, 0.9], [True, 0.5]],
+], ids=["huge-integer", "object-rows", "quoted-numbers", "boolean"])
 def test_gen_rejects_origins_file_that_is_not_numbers(tmp_path, capsys, rows):
     origins_path = tmp_path / "origins.json"
     origins_path.write_text(json.dumps(rows))
@@ -108,12 +121,27 @@ def _huge_point(data):
     data["points"][0][0] = _HUGE
 
 
+def _quoted_coordinates(data):
+    for key in ("origins", "points"):
+        data[key] = [[repr(x) for x in row] for row in data[key]]
+
+
+def _boolean_coordinate(data):
+    # unperturbed, so points equal origins; numpy would read true as 1.0
+    data["sigma"] = 0.0
+    data["points"] = [list(row) for row in data["origins"]]
+    data["origins"][1][0] = data["points"][1][0] = True
+
+
 @pytest.mark.parametrize("edit", [
     lambda d: d.update(sigma=_HUGE),
     _huge_point,
     lambda d: d.update(origins=[{"x": 0.0, "y": 0.0}] * len(d["origins"])),
     lambda d: d["points"][2].__setitem__(1, d["points"][2][1] + 1e-3),
-], ids=["huge-sigma", "huge-point", "object-origins", "moved-point"])
+    _quoted_coordinates,
+    _boolean_coordinate,
+], ids=["huge-sigma", "huge-point", "object-origins", "moved-point", "quoted-coordinates",
+        "boolean-coordinate"])
 def test_malformed_or_edited_instance_file_exits_1(tmp_path, capsys, edit):
     inst_path = tmp_path / "inst.json"
     assert run_cli("gen", "--n", "6", "--sigma", "0.1", "--seed", "3",

@@ -97,6 +97,11 @@ def test_parse_config_validates_values():
             parse_config(f"n = 8\nsigma = 0.1, {sigma}\n")
     with pytest.raises(ValueError, match="dim"):
         parse_config("n = 8\nsigma = 0.1\ndim = 0\n")
+    # keys the experiment would silently ignore
+    with pytest.raises(ValueError, match=r"\['metric', 'n', 'pivot'\]"):
+        parse_config("experiment = lb\np = 3\nsigma = 1e-4\nmetric = l1\npivot = best\nn = 7\n")
+    with pytest.raises(ValueError, match=r"\['p', 't'\]"):
+        parse_config("n = 8\nsigma = 0.1\np = 3\nt = 1\n")
 
 
 def test_lb_config_needs_p():

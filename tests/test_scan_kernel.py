@@ -291,11 +291,10 @@ def test_position_matrix_tracks_the_order(monkeypatch, n):
     def checked(order, i, j, P=None):
         sides[np.sign(2 * (j - i) - order.size)] += 1
         added = {frozenset(e) for e in _make_change(order, i, j, 0.0).added}
-        order = reverse(order, i, j, P)
+        positions = reverse(order, i, j, P)
         assert np.array_equal(P, pairwise_distances(pts[np.append(order, order[0])], metric))
-        positions = twoptlab.tour._added_positions(order.size, i, j)
         assert {edge(order, k) for k in positions} == added
-        return order
+        return positions
 
     monkeypatch.setattr(twoptlab.tour, "_reverse_segment", checked)
     for metric, pivot, seed in itertools.product(METRICS, PIVOTS, range(8)):
