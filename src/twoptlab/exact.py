@@ -29,7 +29,7 @@ import time
 import numpy as np
 
 from .geometry import Metric, pairwise_distances, vec_dist
-from .tour import Tour, _coords, _tour_order, run_two_opt
+from .tour import _SCAN_BLOCK, Tour, _coords, _tour_order, run_two_opt
 
 __all__ = [
     "ExactResult",
@@ -91,10 +91,14 @@ def brute_force(inst_or_points, metric: Metric | str = Metric.EUCLIDEAN) -> Exac
 def held_karp(inst_or_points, metric: Metric | str = Metric.EUCLIDEAN) -> ExactResult:
     """Exact optimum by the Held-Karp dynamic program (3 <= n <= 20).
 
-    State: dp[mask, j] = shortest path from vertex 0 through the vertex set
-    ``mask`` (over vertices 1..n-1) ending at j.  Masks are processed grouped
-    by popcount so each transition is one vectorized assignment (no target is
-    hit twice); memory is O(2^(n-1) n) float64, about 160 MiB at n = 20.
+    State: dp[j, mask] = shortest path from vertex 0 through the vertex set
+    ``mask`` (over vertices 1..n-1) ending at j.  Masks are processed by
+    popcount, in chunks of about _SCAN_BLOCK // (n-1) masks: one gather of
+    their rows, one min-plus pass c[j] = min_k dp[k, mask] + D[k+1, j+1] over
+    contiguous buffers, and one scatter of the entries with bit j free into
+    dp[j, mask | 1<<j] (no target is hit twice).  Memory is the
+    O(2^(n-1) n) float64 table plus the masks sorted by popcount: a
+    tracemalloc peak of 84.5 MiB at n = 20.
     """
     t0 = time.perf_counter()
     pts = _coords(inst_or_points)
@@ -104,37 +108,45 @@ def held_karp(inst_or_points, metric: Metric | str = Metric.EUCLIDEAN) -> ExactR
     D = pairwise_distances(pts, metric)
     m = n - 1
     size = 1 << m
-    dp = np.full((size, m), np.inf)
-    dp[1 << np.arange(m), np.arange(m)] = D[0, 1:]
+    W = D[1:, 1:]
+    dp = np.full((m, size), np.inf)
+    js = np.arange(m)
+    dp[js, 1 << js] = D[0, 1:]
+    flat = dp.reshape(-1)
 
-    masks = np.arange(size, dtype=np.int64)
     pop = np.zeros(size, dtype=np.int8)
     for b in range(m):
-        pop += ((masks >> b) & 1).astype(np.int8)
-    by_pop = [masks[pop == k] for k in range(m + 1)]
+        pop[1 << b : 2 << b] = pop[: 1 << b] + 1
+    by_pop = np.argsort(pop, kind="stable")
+    starts = np.cumsum(np.bincount(pop, minlength=m + 1))
+    step = max(1, _SCAN_BLOCK // m)
+    bits = (1 << js)[:, None]
+    rows = (js * size)[:, None]
 
     for k in range(1, m):
-        layer = by_pop[k]
-        vals = dp[layer]
-        for j in range(m):
-            free = (layer >> j) & 1 == 0
-            if not free.any():
-                continue
-            src = vals[free] + D[1:, j + 1]
-            dp[:, j][layer[free] | (1 << j)] = src.min(axis=1)
+        for lo in range(starts[k - 1], starts[k], step):
+            chunk = by_pop[lo : min(lo + step, starts[k])]
+            V = dp.take(chunk, axis=1)  # C-ordered, so each V[i] is contiguous
+            c = V[0] + W[0][:, None]
+            tmp = np.empty_like(c)
+            for i in range(1, m):
+                np.add(V[i], W[i][:, None], out=tmp)
+                np.minimum(c, tmp, out=c)
+            free = (chunk & bits) == 0
+            flat[(rows + (chunk | bits))[free]] = c[free]
 
     full = size - 1
-    totals = dp[full] + D[1:, 0]
+    totals = dp[:, full] + D[1:, 0]
     j = int(np.argmin(totals))
     best_len = float(totals[j])
 
-    # walk the DP backwards; the recomputed candidate row contains dp[mask, j]
+    # walk the DP backwards; the recomputed candidate row contains dp[j, mask]
     # bit-exactly, so argmin recovers a true predecessor
     mask = full
     rev = [j + 1]
     while mask != (1 << j):
         pmask = mask ^ (1 << j)
-        row = dp[pmask] + D[1:, j + 1]
+        row = dp[:, pmask] + D[1:, j + 1]
         i = int(np.argmin(row))
         mask, j = pmask, i
         rev.append(j + 1)

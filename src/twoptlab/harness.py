@@ -134,6 +134,15 @@ class SweepConfig:
     def validate(self) -> None:
         if self.experiment not in ("two_opt", "lb"):
             raise ValueError(f"unknown experiment {self.experiment!r}")
+        # a config built in code has no keys, only fields: an unread field
+        # must keep its default, or the rows would silently ignore it
+        unread = sorted(
+            f.name for f in dataclasses.fields(self)
+            if f.name not in _EXPERIMENT_KEYS[self.experiment]
+            and getattr(self, f.name) != f.default
+        )
+        if unread:
+            raise ValueError(f"{self.experiment} sweeps do not read the config keys {unread}")
         if self.seeds < 1:
             raise ValueError(f"seeds must be >= 1, got {self.seeds}")
         if self.base_seed < 0:

@@ -760,7 +760,9 @@ def min_improvement(
     Every 2-change any run could ever perform has gain of the form
     d(a,b) + d(c,d) - d(a,c) - d(b,d) for distinct a,b,c,d, so this value
     divides the total descent: iterations <= initial_length / min_improvement.
-    Returns None when no quadruple improves.  O(n^4) work, O(n^2) memory.
+    Returns None when no quadruple improves.  O(n^4) work, priced per vertex
+    a over blocks of b values of at most about _SCAN_BLOCK gains, so memory
+    is O(n^2 + _SCAN_BLOCK).
     """
     _check_stopping(eps)
     pts = _coords(inst_or_points)
@@ -770,16 +772,19 @@ def min_improvement(
     D = pairwise_distances(pts, metric)
     best = math.inf
     idx = np.arange(n)
+    step = max(1, _SCAN_BLOCK // (n * n))
     for a in range(n):
-        for b in range(n):
-            if a == b:
-                continue
-            g = _gain(D[a, b], D, D[a][:, None], D[b][None, :])
-            g[a, :] = -np.inf
-            g[b, :] = -np.inf
-            g[:, a] = -np.inf
-            g[:, b] = -np.inf
-            g[idx, idx] = -np.inf
+        others = idx[idx != a]
+        for lo in range(0, n - 1, step):
+            bs = others[lo : lo + step]
+            rows = np.arange(bs.size)
+            # g[r, c, d]: the gain of d(a,b) + d(c,d) - d(a,c) - d(b,d), b = bs[r]
+            g = _gain(D[a, bs][:, None, None], D, D[a][:, None], D[bs][:, None, :])
+            g[:, a, :] = -np.inf
+            g[rows, bs, :] = -np.inf
+            g[:, :, a] = -np.inf
+            g[rows, :, bs] = -np.inf
+            g[:, idx, idx] = -np.inf
             pos = g[g > eps]
             if pos.size:
                 best = min(best, float(pos.min()))

@@ -21,11 +21,19 @@ cheapest insertion per vertex instead, and must build the same order.
 point-by-point build and its label-grouping row lookup; the package derives
 both from one block layout, and must give the same origins bit for bit, the
 same labels and the same rows.
+``held_karp`` is the exact solver's old dynamic program, which gathered the
+rows of each popcount layer once for every target vertex; the package
+gathers each block of a layer once and takes the minimum over predecessors
+in one min-plus pass, and must give the same length bits and the same tour.
+``min_improvement`` is the old double loop over (a, b); the package prices
+a block of b values per a in one gain call, and must return the same value.
 """
+
+import math
 
 import numpy as np
 
-from twoptlab.geometry import Metric, pairwise_distances, vec_dist
+from twoptlab.geometry import Metric, _gain, pairwise_distances, vec_dist
 from twoptlab.layered import LayeredInstance, layered_params
 from twoptlab.tour import Tour, _coords, _make_change, initial_tour
 
@@ -303,3 +311,65 @@ def part_rows(li: LayeredInstance) -> dict:
         xs = li.origins[ids_arr, 0]
         rows[key] = ids_arr[np.argsort(xs, kind="stable")]
     return rows
+
+
+def held_karp(pts: np.ndarray, metric) -> tuple[float, list[int]]:
+    """Held-Karp over dp[mask, j], one gather per (layer, j): (length, order)."""
+    n = pts.shape[0]
+    D = pairwise_distances(pts, metric)
+    m = n - 1
+    size = 1 << m
+    dp = np.full((size, m), np.inf)
+    dp[1 << np.arange(m), np.arange(m)] = D[0, 1:]
+
+    masks = np.arange(size, dtype=np.int64)
+    pop = np.zeros(size, dtype=np.int8)
+    for b in range(m):
+        pop += ((masks >> b) & 1).astype(np.int8)
+    by_pop = [masks[pop == k] for k in range(m + 1)]
+
+    for k in range(1, m):
+        layer = by_pop[k]
+        vals = dp[layer]
+        for j in range(m):
+            free = (layer >> j) & 1 == 0
+            if not free.any():
+                continue
+            src = vals[free] + D[1:, j + 1]
+            dp[:, j][layer[free] | (1 << j)] = src.min(axis=1)
+
+    full = size - 1
+    totals = dp[full] + D[1:, 0]
+    j = int(np.argmin(totals))
+    best_len = float(totals[j])
+    mask = full
+    rev = [j + 1]
+    while mask != (1 << j):
+        pmask = mask ^ (1 << j)
+        row = dp[pmask] + D[1:, j + 1]
+        i = int(np.argmin(row))
+        mask, j = pmask, i
+        rev.append(j + 1)
+    return best_len, [0] + rev[::-1]
+
+
+def min_improvement(pts: np.ndarray, metric, eps: float) -> float | None:
+    """Smallest gain above eps over all ordered quadruples, one (a, b) at a time."""
+    n = pts.shape[0]
+    D = pairwise_distances(pts, metric)
+    best = math.inf
+    idx = np.arange(n)
+    for a in range(n):
+        for b in range(n):
+            if a == b:
+                continue
+            g = _gain(D[a, b], D, D[a][:, None], D[b][None, :])
+            g[a, :] = -np.inf
+            g[b, :] = -np.inf
+            g[:, a] = -np.inf
+            g[:, b] = -np.inf
+            g[idx, idx] = -np.inf
+            pos = g[g > eps]
+            if pos.size:
+                best = min(best, float(pos.min()))
+    return None if best is math.inf else best

@@ -104,6 +104,27 @@ def test_parse_config_validates_values():
         parse_config("n = 8\nsigma = 0.1\np = 3\nt = 1\n")
 
 
+@pytest.mark.parametrize("cfg", [
+    SweepConfig(experiment="lb", p=3, t=1, sigma=(1e-4,), metric=("l1",), n=(7,),
+                pivot=("best",)),
+    SweepConfig(n=(8,), sigma=(0.1,), p=3, t=1),
+], ids=["lb", "two_opt"])
+def test_code_built_config_rejects_unread_fields(cfg):
+    # a config built in code is held to the parse-time rule: a field the
+    # experiment does not read must keep its default
+    with pytest.raises(ValueError, match="do not read"):
+        run_sweep(cfg)
+    with pytest.raises(ValueError, match="do not read"):
+        replay_row(cfg, 0)
+
+
+def test_code_built_config_with_unread_fields_at_default_runs():
+    # unread fields passed at their defaults are not an error
+    cfg = SweepConfig(experiment="lb", p=3, t=1, sigma=(1e-4,), metric=("l2",),
+                      pivot=("first",))
+    assert replay_row(cfg, 0)["n"] == 762
+
+
 def test_lb_config_needs_p():
     with pytest.raises(ValueError, match="needs p"):
         parse_config("experiment = lb\nsigma = 0.0001\n")

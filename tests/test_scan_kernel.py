@@ -16,7 +16,10 @@ padding path comes from the engine's nearest-neighbour walk and must visit
 the points the old path did, in the same order.  The MST,
 computed from coordinate rows, must weigh exactly what the reference dense
 Prim over the full matrix gives.  Greedy insertion must build the reference
-loop's order while holding one distance matrix.
+loop's order while holding one distance matrix.  The exact oracles,
+held_karp's blocked min-plus passes and min_improvement's per-vertex gain
+blocks, must return the reference loops' lengths, tours and smallest gains,
+bit for bit, at their block sizes and at tiny ones.
 """
 
 import collections
@@ -29,6 +32,7 @@ import pytest
 
 import scan_oracle
 import test_tour_engine
+import twoptlab.exact
 import twoptlab.tour
 from twoptlab import (
     Instance,
@@ -428,3 +432,48 @@ def test_mst_length_matches_dense_prim(metric):
         assert mst_length(pts, metric) == scan_oracle.mst_length(pts, metric), (n, seed)
     pts = build_layered(3, 3e-6).perturbed(0).points
     assert mst_length(pts, metric) == scan_oracle.mst_length(pts, metric)
+
+
+def _oracle_corpus():
+    """(n, seed, points) for the exact oracles: uniform points, small integer
+    points (tied distances and coincident points), 3-D points at scale 1e3
+    and a slightly perturbed grid."""
+    for n, seed in itertools.product((3, 4, 5, 8, 12, 16), range(2)):
+        rng = np.random.default_rng([n, seed])
+        yield n, seed, make_origins("uniform", n, 2, seed)
+        yield n, seed, rng.integers(0, 4, size=(n, 2)).astype(float)
+        yield n, seed, 1e3 * rng.random((n, 3))
+        yield n, seed, perturb(make_origins("grid", n, 2, seed), 1e-3, seed).points
+
+
+def _check_exact_oracles(metric):
+    for n, seed, pts in _oracle_corpus():
+        got = held_karp(pts, metric)
+        length, order = scan_oracle.held_karp(pts, metric)
+        assert got.length.hex() == length.hex(), (n, seed)
+        assert got.tour.order.tolist() == order, (n, seed)
+        if n >= 4:
+            got = min_improvement(pts, metric)
+            want = scan_oracle.min_improvement(pts, metric, 1e-12)
+            assert (got is None) == (want is None), (n, seed)
+            assert got is None or got.hex() == want.hex(), (n, seed)
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_exact_oracles_match_reference_loops(metric):
+    # n = 16 splits the middle popcount layers into several mask blocks
+    _check_exact_oracles(metric)
+
+
+def test_exact_oracles_in_tiny_blocks_match_reference_loops(monkeypatch, tiny_blocks):
+    # blocks of a few masks and of one b value per call
+    monkeypatch.setattr(twoptlab.exact, "_SCAN_BLOCK", 64)
+    _check_exact_oracles("l1")
+
+
+def test_held_karp_at_n18_matches_reference_loop():
+    pts = perturb(make_origins("uniform", 18, 2, 7), 0.1, 7).points
+    got = held_karp(pts, "l1")
+    length, order = scan_oracle.held_karp(pts, "l1")
+    assert got.length.hex() == length.hex()
+    assert got.tour.order.tolist() == order
