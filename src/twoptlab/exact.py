@@ -12,7 +12,11 @@ approximation-ratio lower bound used on instances too large to solve.
 ``estimate_two_opt_max`` approximates the *worst* 2-optimal tour length by
 restarting the engine from many random tours and keeping the maximum; its
 seeds are spawned from one SeedSequence, so the estimate is monotone
-non-decreasing in the number of restarts.
+non-decreasing in the number of restarts.  The restarts run as lockstep
+batches of about _SCAN_BLOCK // (n+1)^2 tours through the engine's descent
+(one kernel pass per step for the whole batch), so their position matrices
+take O(_SCAN_BLOCK) memory beside one n x n distance matrix; each restart
+still ends exactly where run_two_opt ends for its seed.
 
 ``edge_length_histogram`` buckets tour edges into the dyadic scale
 [OPT/2^i, OPT/2^(i-1)); the identity sum_i L(T_i) = L(T) makes it the
@@ -29,7 +33,7 @@ import time
 import numpy as np
 
 from .geometry import Metric, pairwise_distances, vec_dist
-from .tour import _SCAN_BLOCK, Tour, _coords, _tour_order, run_two_opt
+from .tour import _SCAN_BLOCK, Tour, _coords, _restarts, _tour_order
 
 __all__ = [
     "ExactResult",
@@ -190,23 +194,21 @@ def estimate_two_opt_max(
 ) -> float:
     """Largest 2-optimal tour length seen over random-restart runs.
 
-    Restart r draws its seed from SeedSequence(seed).spawn(...)[r]; since
+    Restart r draws its seed from SeedSequence(seed).spawn(...)[r] and
+    ends where run_two_opt(..., init="random", seed=that seed) ends; since
     spawning is prefix-stable, increasing ``restarts`` can only add runs,
     never change earlier ones, so the estimate is monotone non-decreasing.
+    The restarts run in lockstep batches of about _SCAN_BLOCK // (n+1)^2
+    tours (all 50 of the default at n = 12, one from n = 128 on), so the
+    batches' position matrices hold about _SCAN_BLOCK elements; the batch
+    size changes no result.
     """
     if restarts < 1:
         raise ValueError(f"need at least one restart, got {restarts}")
-    pts = _coords(inst_or_points)
-    children = np.random.SeedSequence(seed).spawn(restarts)
-    worst = -math.inf
-    for child in children:
-        run_seed = int(child.generate_state(1, np.uint64)[0])
-        rec = run_two_opt(
-            pts, metric, init="random", pivot=pivot, eps=eps, seed=run_seed,
-            keep_changes=False,
-        )
-        worst = max(worst, rec.final_length)
-    return worst
+    seeds = [int(child.generate_state(1, np.uint64)[0])
+             for child in np.random.SeedSequence(seed).spawn(restarts)]
+    runs = _restarts(_coords(inst_or_points), metric, pivot, eps, seeds)
+    return max(run.final_length for run in runs)
 
 
 def edge_length_histogram(

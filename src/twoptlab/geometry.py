@@ -103,8 +103,12 @@ def pairwise_distances(points, metric: Metric | str = Metric.EUCLIDEAN) -> np.nd
     than the Gram-matrix identity: the latter loses absolute precision near
     coincident points, and the 2-opt engine compares gains at 1e-12.
     """
+    return _pairwise(as_points(points), metric)
+
+
+def _pairwise(pts: np.ndarray, metric: Metric | str) -> np.ndarray:
+    """pairwise_distances of an (n, d) array that as_points has already checked."""
     m = Metric.parse(metric)
-    pts = as_points(points)
     n = pts.shape[0]
     d = np.empty((n, n))
     block = max(1, _BLOCK_ELEMENTS // (n * (pts.shape[1] + 1)))

@@ -459,18 +459,22 @@ def ratio_experiment(
     near sigma=0.01, so the smallest sigma sees the most confusable geometry
     and the worst-ratio trend decays across the default grid
     {0.01, 0.03, 0.1, 0.3, 1}.  At scale 1.0 the decay would start only past
-    sigma=0.1.  n is capped by the exact solver (<= 20).
+    sigma=0.1.  n is capped by the exact solver (3 <= n <= 20).  Every
+    argument is checked before the first row runs.
     """
-    if n > HELD_KARP_MAX_N:
+    if not 3 <= n <= HELD_KARP_MAX_N:
         raise ValueError(
-            f"ratio experiment needs n <= {HELD_KARP_MAX_N} for the exact optimum, got {n}"
+            f"ratio experiment needs 3 <= n <= {HELD_KARP_MAX_N} (a tour, and the exact "
+            f"optimum), got n={n}"
         )
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {seeds}")
     if len(sigma_grid) == 0:
         raise ValueError("ratio experiment needs at least one sigma")
-    if origin_scale <= 0.0:
-        raise ValueError(f"origin_scale must be positive, got {origin_scale}")
+    if not (math.isfinite(origin_scale) and origin_scale > 0.0):
+        raise ValueError(f"origin_scale must be finite and positive, got {origin_scale}")
     for sigma in sigma_grid:
         _check_sigma(sigma)
     rows = []

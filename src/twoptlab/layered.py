@@ -288,8 +288,8 @@ def _path_two_opt(pts: np.ndarray, path: list[int], eps: float) -> list[int]:
     while True:
         p = pts[ids[row:]]
         a, b = p[:-1], p[1:]
-        hit = _scan("first", eps, vec_dist(a, b, Metric.EUCLIDEAN),
-                    _coord_dists(a, b, Metric.EUCLIDEAN), closed=False)
+        hit = _scan("first", eps, vec_dist(a, b, Metric.EUCLIDEAN)[None],
+                    _coord_dists(a, b, Metric.EUCLIDEAN), closed=False)[0]
         if hit is None:
             if not applied:
                 return [int(v) for v in ids]

@@ -18,12 +18,19 @@ one reduction, ``_pick``, over the blocks in row-major (lexicographic) order:
 * ``random`` -- uniform over all improving pairs: count, then pick (needs a
   seed).
 
-``run_two_opt`` holds one (n+1) x (n+1) position matrix per run,
+The engine's descent, ``_descend``, runs a batch of tours in lockstep.
+Each tour holds one (n+1) x (n+1) position matrix,
 P[a, b] = d(order[a % n], order[b % n]).  The tour's edge lengths are its
 first superdiagonal and the kernel's distance blocks are plain slices of
-it; each applied change reverses the matching rows and columns in place.
-The layered path 2-opt computes its blocks from coordinates.  The
-arithmetic is the same, so every caller sees bit-identical gains.
+it, with a leading tour axis, so one kernel pass scans every live tour of
+the batch.  Each step retires the tours with no improving pair and applies
+one change to each of the others.  A batch of one -- every
+``run_two_opt`` -- reverses the matching rows and columns in place; a
+larger batch -- the restarts of ``exact.estimate_two_opt_max`` -- moves
+each tour's order and matrix with one gather.  Both reach the same
+matrices, entry for entry.  The layered path 2-opt computes its blocks
+from coordinates.  The arithmetic is the same, so every caller sees
+bit-identical gains.
 
 ``find_improving`` and ``certify_two_optimality`` scan once from
 coordinates, and on a tour with few long edges they evaluate only the pairs
@@ -69,7 +76,7 @@ from typing import IO, Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import Metric, _gain, as_points, pairwise_distances, vec_dist
+from .geometry import Metric, _gain, _pairwise, as_points, vec_dist
 
 __all__ = [
     "Tour",
@@ -293,24 +300,30 @@ def initial_tour(
     builds a distance matrix, and frees it on return.
     """
     pts = _coords(inst_or_points)
-    rule = _rule_token(rule)
+    return Tour.from_order(_start_order(pts, metric, _rule_token(rule), seed))
+
+
+def _start_order(pts: np.ndarray, metric, rule: str, seed) -> np.ndarray:
+    """initial_tour's order, vertex 0 first, for checked points and a rule token."""
     n = pts.shape[0]
+    if n < 3:
+        raise ValueError("a tour needs at least three vertices")
     if rule == "random":
-        rng = np.random.default_rng(seed)
-        return Tour.from_order(rng.permutation(n))
+        order = np.random.default_rng(seed).permutation(n)
+        shift = int(np.flatnonzero(order == 0)[0])
+        return np.concatenate((order[shift:], order[:shift]))
     if rule == "nearest_neighbor":
-        return Tour.from_order(_nn_walk(n, lambda v: vec_dist(pts[v], pts, metric)))
+        return np.array(_nn_walk(n, lambda v: vec_dist(pts[v], pts, metric)))
     # greedy_insertion: each remaining vertex keeps its cheapest insertion
     # cost and the position of the earliest tour edge that attains it.  An
     # insertion replaces one edge by two, so only the vertices whose best
     # edge was the replaced one are priced against the whole tour again.
-    D = pairwise_distances(pts, metric)
+    D = _pairwise(pts, metric)
     order = np.zeros(1, dtype=np.int64)
     rest = np.arange(1, n)
-    if rest.size:
-        v = rest[np.argmin(D[0, rest])]
-        order = np.append(order, v)
-        rest = rest[rest != v]
+    v = rest[np.argmin(D[0, rest])]
+    order = np.append(order, v)
+    rest = rest[rest != v]
     cost, edge = _cheapest_insertions(D, order, rest)
     while rest.size:
         k = int(np.argmin(cost))
@@ -326,7 +339,7 @@ def initial_tour(
             cost[take], edge[take] = c[take], pos
         if stale.any():
             cost[stale], edge[stale] = _cheapest_insertions(D, order, rest[stale])
-    return Tour.from_order(order)
+    return order
 
 
 def _cheapest_insertions(D: np.ndarray, order: np.ndarray, ws: np.ndarray):
@@ -401,70 +414,91 @@ def _blocks(m: int, budget: int):
         i0, budget = i1, min(2 * budget, _SCAN_BLOCK)
 
 
-def _pick(pivot: str, eps: float, blocks, gains, pair, rng: np.random.Generator | None):
-    """The pair (i, j, gain) the pivot rule picks among gains > eps, or None.
+def _pick(pivot: str, eps: float, blocks, gains, pair, rngs) -> list:
+    """Per tour, the pair (i, j, gain) its pivot rule picks among gains > eps, or None.
 
-    ``gains(b)`` computes the gains g of block b and ``pair(b, g, k)`` gives
-    (i, j, gain) of g's flat index k; blocks and their flat indices run in
-    lexicographic pair order.  ``random`` counts the improving pairs, draws
-    one and computes the block that holds it again.
+    ``gains(b, ts)`` computes the gains of block b for the tours ts (an
+    index array or a slice), tour axis first, and ``pair(b, k)``
+    gives the pair (i, j) at the block's flat index k; blocks and their flat
+    indices run in lexicographic pair order.  ``rngs`` has one entry per
+    tour, its generator for the random pivot.  ``first`` stops scanning a
+    tour at its first hit.  ``random`` counts each tour's improving pairs,
+    draws one and computes the block that holds it again.
     """
+    tours = len(rngs)
+    picks: list = [None] * tours
     if pivot != "random":
-        best = None
+        todo, sel = list(range(tours)), slice(None)
         for b in blocks:
-            g = gains(b)
-            k = int(np.argmax(g > eps if pivot == "first" else g))
-            if g.flat[k] > eps and (best is None or g.flat[k] > best[2]):
-                best = pair(b, g, k)
-                if pivot == "first":
+            g = gains(b, sel).reshape(len(todo), -1)
+            k = (g > eps if pivot == "first" else g).argmax(axis=1).tolist()
+            for r, (t, kt) in enumerate(zip(todo, k)):
+                gt = float(g[r, kt])
+                if gt > eps and (picks[t] is None or gt > picks[t][2]):
+                    picks[t] = (*pair(b, kt), gt)
+            if pivot == "first" and any(picks[t] is not None for t in todo):
+                todo = [t for t in todo if picks[t] is None]
+                if not todo:
                     break
-        return best
+                sel = np.array(todo)
+        return picks
     blocks = list(blocks)
-    counts = [int(np.count_nonzero(gains(b) > eps)) for b in blocks]
-    total = sum(counts)
-    if total == 0:
-        return None
-    r = int(rng.integers(total))
-    for b, count in zip(blocks, counts):
-        if r < count:
-            g = gains(b)
-            return pair(b, g, int(np.flatnonzero(g > eps)[r]))
-        r -= count
-    raise AssertionError("unreachable: improving-pair index out of range")
+    counts = [[np.count_nonzero(h) for h in gains(b, slice(None)).reshape(tours, -1) > eps]
+              for b in blocks]
+    for t, rng in enumerate(rngs):
+        total = sum(c[t] for c in counts)
+        if total == 0:
+            continue
+        r = int(rng.integers(total))
+        for b, c in zip(blocks, counts):
+            if r < c[t]:
+                g = gains(b, slice(t, t + 1)).reshape(-1)
+                k = int(np.flatnonzero(g > eps)[r])
+                picks[t] = (*pair(b, k), float(g[k]))
+                break
+            r -= c[t]
+        else:
+            raise AssertionError("unreachable: improving-pair index out of range")
+    return picks
 
 
 def _scan(pivot: str, eps: float, el: np.ndarray, dists,
-          closed: bool = True, rng: np.random.Generator | None = None):
-    """The pair (i, j, gain) the pivot rule picks among gains > eps, or None.
+          closed: bool = True, rngs=(None,)):
+    """Per tour, the pair (i, j, gain) the pivot rule picks among gains > eps, or None.
 
-    Edge k has length el[k]; the pair (i, j), i+2 <= j < len(el), has gain
-    _gain(el[i], el[j], d13, d24), where ``dists(i0, i1, c0)`` gives the
-    blocks d13 and d24 of the pairs with rows i0..i1-1 and columns c0.. (the
-    distances between the first and between the second endpoints of the two
-    edges).  On a closed tour the adjacent pair (0, last) is left out.  The
-    row blocks of _blocks are reduced by _pick.
+    Edge k of tour t has length el[t, k]; the pair (i, j), i+2 <= j <
+    el.shape[1], has gain _gain(el[t, i], el[t, j], d13, d24), where
+    ``dists(i0, i1, c0, ts)`` gives the blocks d13 and d24 of the tours ts
+    for the pairs with rows i0..i1-1 and columns c0.. (the distances between
+    the first and between the second endpoints of the two edges; a block
+    without the tour axis serves every tour).  On a closed tour the adjacent
+    pair (0, last) is left out.  The row blocks of _blocks are reduced by
+    _pick, with one generator per tour in ``rngs``.
     """
-    def gains(block):
+    m = el.shape[1]
+
+    def gains(block, ts):
         i0, i1 = block
         c0 = i0 + 2
-        g = _gain(el[i0:i1, None], el[None, c0:], *dists(i0, i1, c0))
+        e = el[ts]
+        g = _gain(e[:, i0:i1, None], e[:, None, c0:], *dists(i0, i1, c0, ts))
         rows = i1 - i0
-        g[:, :rows][_BELOW[:rows, :rows]] = -np.inf
+        np.copyto(g[:, :, :rows], -np.inf, where=_BELOW[:rows, :rows])
         if closed and i0 == 0:
-            g[0, -1] = -np.inf
+            g[:, 0, -1] = -np.inf
         return g
 
-    def pair(block, g, k):
-        r, c = divmod(k, g.shape[1])
-        return block[0] + r, block[0] + 2 + c, float(g[r, c])
+    def pair(block, k):
+        r, c = divmod(k, m - block[0] - 2)
+        return block[0] + r, block[0] + 2 + c
 
     budget = _SCAN_FIRST if pivot == "first" else _SCAN_BLOCK
-    return _pick(pivot, eps, _blocks(el.size, budget), gains, pair, rng)
+    return _pick(pivot, eps, _blocks(m, budget), gains, pair, rngs)
 
 
 def _coord_dists(a: np.ndarray, b: np.ndarray, metric):
     """Kernel blocks from coordinates: edge k runs from point a[k] to point b[k]."""
-    def dists(i0: int, i1: int, c0: int):
+    def dists(i0: int, i1: int, c0: int, ts):
         return (vec_dist(a[i0:i1, None], a[None, c0:], metric),
                 vec_dist(b[i0:i1, None], b[None, c0:], metric))
     return dists
@@ -516,13 +550,13 @@ def _scan_points(p: np.ndarray, metric, pivot: str, eps: float, rng=None):
     el = vec_dist(p, pn, metric)
     keys = _ball_keys(p, pn, el, metric)
     if keys is None:
-        return _scan(pivot, eps, el, _coord_dists(p, pn, metric), rng=rng)
+        return _scan(pivot, eps, el[None], _coord_dists(p, pn, metric), rngs=(rng,))[0]
     if keys.size == 0:
         return None
     i, j = np.divmod(keys, el.size)
     g = _gain(el[i], el[j], vec_dist(p[i], p[j], metric), vec_dist(pn[i], pn[j], metric))
-    return _pick(pivot, eps, (g,), lambda b: b,
-                 lambda b, g, k: (int(i[k]), int(j[k]), float(g[k])), rng)
+    return _pick(pivot, eps, (g[None],), lambda b, ts: b[ts],
+                 lambda b, k: (int(i[k]), int(j[k])), (rng,))[0]
 
 
 def _make_change(order: np.ndarray, i: int, j: int, gain: float) -> TwoChange:
@@ -572,6 +606,22 @@ def _reverse_segment(order: np.ndarray, i: int, j: int,
         P[n] = P[0]
         P[:, n] = P[:, 0]
     return added
+
+
+def _reversals(n: int, i: np.ndarray, j: np.ndarray):
+    """_reverse_segment for a batch of tours as gathers: (perm, added).
+
+    Tour t's new order is order[perm[t]], and added[t] holds the positions
+    of its added edges, as _reverse_segment gives them.  The inner side
+    reverses positions i+1..j; the outer side's rev(A) + rev(C) + B is the
+    inner side's order read backwards from position i.
+    """
+    i, j = i[:, None], j[:, None]
+    outer = 2 * (j - i) > n
+    p = np.arange(n)
+    q = np.where(outer, (i - p) % n, p)
+    perm = np.where((q > i) & (q <= j), i + 1 + j - q, q)
+    return perm, np.hstack((i, j)) + np.where(outer, n - 1 - j, 0)
 
 
 def _coord_scan(inst_or_points, tour, metric, pivot: str, eps: float, rng=None):
@@ -647,6 +697,81 @@ def apply_two_change(tour: Tour, change: TwoChange) -> Tour:
     return Tour.from_order(new_order, cached_length=cached, metric=tour.metric)
 
 
+@dataclasses.dataclass
+class _Descent:
+    """One tour's descent, as run_two_opt records it."""
+
+    iterations: int
+    min_gain: float | None
+    converged: bool
+    final_order: list[int]
+    final_length: float
+    changes: list[TwoChange]
+
+
+def _descend(P: np.ndarray, orders: np.ndarray, pivot: str, eps: float, rngs,
+             max_iter: int | None = None, keep_changes: bool = False) -> list[_Descent]:
+    """2-opt to local optimality on a batch of tours in lockstep, one _Descent per tour.
+
+    Tour t has the order orders[t], its position matrix P[t] and the
+    generator rngs[t] for random-pivot draws.  Each step scans every live
+    tour, retires those with no pair of gain > eps (converged) or with
+    max_iter changes applied, and applies its picked change to each of the
+    others.  A batch of one reverses its order and matrix in place; a larger
+    batch moves every tour's order and matrix with one gather, which also
+    drops the retired tours.  Raises ValueError when a change would undo the
+    one before it, which only rounding can make look improving at this eps.
+    """
+    tours, n = orders.shape
+    runs: list = [None] * tours
+    iterations, min_gain = [0] * tours, [None] * tours
+    changes: list[list[TwoChange]] = [[] for _ in range(tours)]
+    undo: list = [None] * tours  # the positions of the edges each tour's last change added
+    live = list(range(tours))
+    el = P.diagonal(1, axis1=1, axis2=2)
+    while live:
+        hits = _scan(pivot, eps, el,
+                     lambda i0, i1, c0, ts: (P[ts, i0:i1, c0:n], P[ts, i0 + 1 : i1 + 1, c0 + 1 :]),
+                     rngs=[rngs[t] for t in live])
+        moves = []
+        for row, (t, hit) in enumerate(zip(live, hits)):
+            if hit is None or (max_iter is not None and iterations[t] >= max_iter):
+                # the flips leave the order rotated; the record starts at vertex 0
+                rot = (np.arange(n) + int(np.flatnonzero(orders[row] == 0)[0])) % n
+                runs[t] = _Descent(iterations[t], min_gain[t], hit is None,
+                                   orders[row, rot].tolist(), float(el[row, rot].sum()), changes[t])
+                continue
+            i, j, gain = hit
+            # removing both edges the last change added can only undo it, so both
+            # gains are rounding residues; the run would flip between two tours
+            if (i, j) == undo[t]:
+                raise ValueError(
+                    f"2-change {_make_change(orders[row], i, j, gain).removed} undoes the "
+                    f"previous change: gains are at rounding level for eps={eps} (gain "
+                    f"{gain:.3g}); raise eps or scale the coordinates down"
+                )
+            if keep_changes:
+                changes[t].append(_make_change(orders[row], i, j, gain))
+            iterations[t] += 1
+            min_gain[t] = gain if min_gain[t] is None else min(min_gain[t], gain)
+            moves.append((row, i, j))
+        live = [live[row] for row, _, _ in moves]
+        if len(live) == 1 and P.shape[0] == 1:
+            _, i, j = moves[0]
+            undo[live[0]] = _reverse_segment(orders[0], i, j, P[0])
+        elif live:
+            rows, i, j = (np.array(v) for v in zip(*moves))
+            perm, added = _reversals(n, i, j)
+            # new P[t, a, b] = P[rows[t], ext[t, a], ext[t, b]], as one flat gather
+            ext, m = np.hstack((perm, perm[:, :1])), n + 1
+            P = P.reshape(-1)[(rows[:, None, None] * m + ext[:, :, None]) * m + ext[:, None, :]]
+            orders = orders[rows[:, None], perm]
+            el = P.diagonal(1, axis1=1, axis2=2)
+            for t, positions in zip(live, added.tolist()):
+                undo[t] = tuple(positions)
+    return runs
+
+
 def run_two_opt(
     inst_or_points,
     metric: Metric | str = Metric.EUCLIDEAN,
@@ -664,69 +789,57 @@ def run_two_opt(
     run ends when a full scan finds no pair with gain > eps (converged=True)
     or when max_iter changes have been applied (converged=False).  It raises
     ValueError when a change would undo the one before it, which only
-    rounding can make look improving at this eps.
+    rounding can make look improving at this eps.  The run is a batch of one
+    tour of the engine's descent.
     """
     _check_pivot(pivot)
     rule = _rule_token(init)
     _check_stopping(eps, max_iter)
     pts = _coords(inst_or_points)
-    n = pts.shape[0]
     rng = np.random.default_rng(seed)
-    order = initial_tour(pts, metric, rule, rng).order
+    order = _start_order(pts, metric, rule, rng)
     # the position matrix P[a, b] = d(order[a % n], order[b % n]): the tour's
     # edges lie on its first superdiagonal and the kernel's blocks are slices
-    P = pairwise_distances(pts[np.append(order, order[0])], metric)
-    el = P.diagonal(1)
-    initial_length = float(el.sum())
-
-    def dists(i0: int, i1: int, c0: int):
-        return P[i0:i1, c0:n], P[i0 + 1 : i1 + 1, c0 + 1 :]
-
-    changes: list[TwoChange] = []
-    iterations = 0
-    min_gain: float | None = None
-    converged = False
-    undo = None  # the positions of the edges the last change added
-    while True:
-        hit = _scan(pivot, eps, el, dists, rng=rng)
-        if hit is None:
-            converged = True
-            break
-        if max_iter is not None and iterations >= max_iter:
-            converged = False
-            break
-        i, j, gain = hit
-        # removing both edges the last change added can only undo it, so both
-        # gains are rounding residues; the run would flip between two tours
-        if (i, j) == undo:
-            raise ValueError(
-                f"2-change {_make_change(order, i, j, gain).removed} undoes the previous "
-                f"change: gains are at rounding level for eps={eps} (gain {gain:.3g}); "
-                "raise eps or scale the coordinates down"
-            )
-        if keep_changes:
-            changes.append(_make_change(order, i, j, gain))
-        iterations += 1
-        min_gain = gain if min_gain is None else min(min_gain, gain)
-        undo = _reverse_segment(order, i, j, P)
-
-    # the flips leave the order rotated; the record starts at vertex 0
-    shift = -int(np.flatnonzero(order == 0)[0])
+    P = _pairwise(pts[np.append(order, order[0])], metric)
+    initial_length = float(P.diagonal(1).sum())
+    run = _descend(P[None], order[None], pivot, eps, [rng], max_iter, keep_changes)[0]
     return RunRecord(
         seed=int(seed),
         metric=Metric.parse(metric).value,
         pivot=pivot,
         init=rule,
-        n=n,
+        n=order.size,
         eps=eps,
         initial_length=initial_length,
-        final_length=float(np.roll(el, shift).sum()),
-        iterations=iterations,
-        min_gain_observed=min_gain,
-        converged=converged,
-        final_order=np.roll(order, shift).tolist(),
-        changes=changes,
+        final_length=run.final_length,
+        iterations=run.iterations,
+        min_gain_observed=run.min_gain,
+        converged=run.converged,
+        final_order=run.final_order,
+        changes=run.changes,
     )
+
+
+def _restarts(pts: np.ndarray, metric, pivot: str, eps: float, seeds) -> list[_Descent]:
+    """run_two_opt(pts, metric, "random", pivot, eps, seed) for each seed, in lockstep batches.
+
+    ``pts`` must have passed as_points.  A batch holds about
+    _SCAN_BLOCK // (n+1)^2 tours (one from n = 128 on), so its position
+    matrices take about _SCAN_BLOCK elements; they are gathered from one
+    distance matrix.  No changes are kept.
+    """
+    _check_pivot(pivot)
+    _check_stopping(eps)
+    n = pts.shape[0]
+    D = _pairwise(pts, metric)
+    size = max(1, _SCAN_BLOCK // (n + 1) ** 2)
+    runs = []
+    for lo in range(0, len(seeds), size):
+        rngs = [np.random.default_rng(s) for s in seeds[lo : lo + size]]
+        orders = np.array([_start_order(pts, metric, "random", rng) for rng in rngs])
+        ext = np.hstack((orders, orders[:, :1]))
+        runs += _descend(D[ext[:, :, None], ext[:, None, :]], orders, pivot, eps, rngs)
+    return runs
 
 
 def certify_two_optimality(
@@ -769,7 +882,7 @@ def min_improvement(
     n = pts.shape[0]
     if n < 4:
         raise ValueError(f"min_improvement needs n >= 4, got {n}")
-    D = pairwise_distances(pts, metric)
+    D = _pairwise(pts, metric)
     best = math.inf
     idx = np.arange(n)
     step = max(1, _SCAN_BLOCK // (n * n))

@@ -27,12 +27,16 @@ gathers each block of a layer once and takes the minimum over predecessors
 in one min-plus pass, and must give the same length bits and the same tour.
 ``min_improvement`` is the old double loop over (a, b); the package prices
 a block of b values per a in one gain call, and must return the same value.
+``estimate_two_opt_max`` is the old restart loop, one ``run_two_opt`` per
+spawned seed in turn; the package runs the restarts as batches of tours in
+lockstep, and must return the same estimate, bit for bit.
 """
 
 import math
 
 import numpy as np
 
+import twoptlab
 from twoptlab.geometry import Metric, _gain, pairwise_distances, vec_dist
 from twoptlab.layered import LayeredInstance, layered_params
 from twoptlab.tour import Tour, _coords, _make_change, initial_tour
@@ -373,3 +377,19 @@ def min_improvement(pts: np.ndarray, metric, eps: float) -> float | None:
             if pos.size:
                 best = min(best, float(pos.min()))
     return None if best is math.inf else best
+
+
+def estimate_two_opt_max(inst_or_points, metric, restarts: int, pivot: str, eps: float,
+                         seed: int) -> float:
+    """The largest final length of one run_two_opt per spawned restart seed."""
+    pts = _coords(inst_or_points)
+    children = np.random.SeedSequence(seed).spawn(restarts)
+    worst = -math.inf
+    for child in children:
+        run_seed = int(child.generate_state(1, np.uint64)[0])
+        rec = twoptlab.run_two_opt(
+            pts, metric, init="random", pivot=pivot, eps=eps, seed=run_seed,
+            keep_changes=False,
+        )
+        worst = max(worst, rec.final_length)
+    return worst

@@ -268,6 +268,21 @@ def test_ratio_rejects_seeds_below_one(tmp_path, seeds):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--n", "2", "got n=2"),
+    ("--restarts", "0", "restarts must be >= 1"),
+    ("--origin-scale", "nan", "origin_scale must be finite and positive, got nan"),
+    ("--origin-scale", "inf", "origin_scale must be finite and positive, got inf"),
+])
+def test_ratio_rejects_bad_arguments_by_name(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "r.csv"
+    assert run_cli("ratio", "--n", "6", "--sigma-grid", "0.1", "--seeds", "2", "--restarts", "2",
+                   flag, value, "-o", str(out)) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # layered lower-bound tools
 

@@ -400,6 +400,22 @@ def test_ratio_experiment_validation():
         ratio_experiment(6, [], seeds=1)
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"n": 2}, "3 <= n"),
+    ({"restarts": 0}, "restarts"),
+    ({"origin_scale": math.nan}, "origin_scale"),
+    ({"origin_scale": math.inf}, "origin_scale"),
+], ids=["n-2", "restarts-0", "origin-scale-nan", "origin-scale-inf"])
+def test_ratio_experiment_checks_its_arguments_first(monkeypatch, kwargs, match):
+    # before, n = 2 and restarts = 0 failed inside row 0, and a NaN or
+    # infinite origin_scale failed there as non-finite coordinates
+    calls = []
+    monkeypatch.setattr(harness, "estimate_two_opt_max", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match=match):
+        ratio_experiment(**{"n": 6, "sigma_grid": [0.1], "restarts": 2, "seeds": 2, **kwargs})
+    assert calls == []
+
+
 @pytest.mark.parametrize("grid", [(0.1, 2.0), (0.1, math.nan), (0.1, -0.5)])
 def test_ratio_experiment_checks_the_whole_grid_first(monkeypatch, grid):
     # a bad sigma late in the grid must fail before the first row runs

@@ -19,7 +19,10 @@ Prim over the full matrix gives.  Greedy insertion must build the reference
 loop's order while holding one distance matrix.  The exact oracles,
 held_karp's blocked min-plus passes and min_improvement's per-vertex gain
 blocks, must return the reference loops' lengths, tours and smallest gains,
-bit for bit, at their block sizes and at tiny ones.
+bit for bit, at their block sizes and at tiny ones.  estimate_two_opt_max
+runs its restarts as batches of tours in lockstep: every restart must end
+where run_two_opt ends for its seed, and the estimate must be the old
+restart loop's, bit for bit, whatever the batch size and block size.
 """
 
 import collections
@@ -41,6 +44,7 @@ from twoptlab import (
     build_layered,
     build_long_tour,
     certify_two_optimality,
+    estimate_two_opt_max,
     find_improving,
     held_karp,
     initial_tour,
@@ -49,12 +53,15 @@ from twoptlab import (
     mst_length,
     pairwise_distances,
     perturb,
+    ratio_experiment,
     run_two_opt,
     tour_length,
     two_change_gain,
+    write_csv,
 )
-from twoptlab import layered
+from twoptlab import harness, layered
 from twoptlab.geometry import vec_dist
+from twoptlab.harness import RATIO_COLUMNS
 from twoptlab.tour import _make_change, _nn_walk, _scan_points
 
 METRICS = ("l1", "l2", "l2sq")
@@ -307,6 +314,20 @@ def test_position_matrix_tracks_the_order(monkeypatch, n):
     assert sides[-1] and sides[1] and (n % 2 or sides[0])
 
 
+@pytest.mark.parametrize("n", [4, 7, 8, 13])
+def test_batch_reversals_match_the_in_place_reversal(n):
+    # every pair (i, j) a scan can pick, inner side, outer side and, at even
+    # n, the tie: the gather gives the order and the added-edge positions
+    # that _reverse_segment gives in place
+    i, j = (np.array(v) for v in zip(*((i, j) for i in range(n) for j in range(i + 2, n)
+                                        if (i, j) != (0, n - 1))))
+    perm, added = twoptlab.tour._reversals(n, i, j)
+    for row in range(i.size):
+        order = np.arange(n)
+        assert tuple(added[row]) == twoptlab.tour._reverse_segment(order, int(i[row]), int(j[row]))
+        assert np.array_equal(perm[row], order), (i[row], j[row])
+
+
 def test_run_holds_one_position_matrix():
     # the run's peak allocation: one (n+1) x (n+1) matrix plus bounded blocks
     n = 600
@@ -477,3 +498,83 @@ def test_held_karp_at_n18_matches_reference_loop():
     length, order = scan_oracle.held_karp(pts, "l1")
     assert got.length.hex() == length.hex()
     assert got.tour.order.tolist() == order
+
+
+def _restart_corpus():
+    """(n, points) for the restart tests: uniform points, a perturbed grid, and
+    small integer points, whose distances tie and whose points coincide."""
+    for n in (3, 4, 5, 8, 12, 20, 40):
+        yield n, make_origins("uniform", n, 2, n)
+        yield n, perturb(make_origins("grid", n, 2, n), 1e-3, n).points
+        yield n, np.random.default_rng([n, 7]).integers(0, 4, size=(n, 2)).astype(float)
+
+
+RESTARTS = 7
+
+
+def _restart_seeds(seed):
+    """The run seeds estimate_two_opt_max(..., restarts=RESTARTS, seed=seed) gives its restarts."""
+    return [int(child.generate_state(1, np.uint64)[0])
+            for child in np.random.SeedSequence(seed).spawn(RESTARTS)]
+
+
+def _ends(runs):
+    return [(run.final_length, run.iterations, run.final_order) for run in runs]
+
+
+@pytest.mark.parametrize("metric,pivot", itertools.product(METRICS, PIVOTS))
+def test_restarts_match_one_run_per_seed(monkeypatch, metric, pivot):
+    # all restarts in one batch, then batches of 1, 2, 3 and 7 tours; the
+    # first pivot's blocks start at 4 gains, so tours of one batch find their
+    # pairs in different blocks.  A final length sums the edges from vertex 0
+    # on, as tour_length does.
+    for n, pts in _restart_corpus():
+        seeds = _restart_seeds(n)
+        want = _ends(run_two_opt(pts, metric, pivot=pivot, seed=s, keep_changes=False)
+                     for s in seeds)
+        assert all(length == tour_length(order, pts, metric) for length, _, order in want), n
+        oracle = scan_oracle.estimate_two_opt_max(pts, metric, RESTARTS, pivot, 1e-12, n)
+        for size in (None, 1, 2, 3, 7):
+            if size is not None:
+                monkeypatch.setattr(twoptlab.tour, "_SCAN_BLOCK", size * (n + 1) ** 2)
+                monkeypatch.setattr(twoptlab.tour, "_SCAN_FIRST", 4)
+            runs = twoptlab.tour._restarts(pts, metric, pivot, 1e-12, seeds)
+            assert _ends(runs) == want, (n, size)
+            got = estimate_two_opt_max(pts, metric, RESTARTS, pivot, seed=n)
+            assert got.hex() == oracle.hex(), (n, size)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("metric,pivot", itertools.product(METRICS, PIVOTS))
+def test_batches_in_tiny_blocks_match_one_run_per_seed(tiny_blocks, metric, pivot):
+    # one batch over blocks of 16 gains, changes kept: every pivot reduces
+    # several blocks per tour, and its tours pick in different blocks
+    for n, pts in _restart_corpus():
+        seeds = _restart_seeds(n)
+        want = [run_two_opt(pts, metric, pivot=pivot, seed=s) for s in seeds]
+        rngs = [np.random.default_rng(s) for s in seeds]
+        orders = np.array([initial_tour(pts, metric, "random", rng).order for rng in rngs])
+        ext = np.hstack((orders, orders[:, :1]))
+        P = pairwise_distances(pts, metric)[ext[:, :, None], ext[:, None, :]]
+        runs = twoptlab.tour._descend(P, orders, pivot, 1e-12, rngs, keep_changes=True)
+        assert _ends(runs) == _ends(want), n
+        assert [run.changes for run in runs] == [rec.changes for rec in want], n
+
+
+def test_undo_guard_raises_inside_a_batch():
+    # restart 1 of seed 1 flips between two tours at this scale (see
+    # test_run_that_would_undo_its_last_change_raises); all 20 restarts
+    # share one batch
+    pts = 1e6 * perturb(make_origins("uniform", 12, 2, 0), 0.3, 0).points
+    assert twoptlab.tour._SCAN_BLOCK // 13**2 >= 20
+    for estimate in (estimate_two_opt_max, scan_oracle.estimate_two_opt_max):
+        with pytest.raises(ValueError, match="undoes the previous change"):
+            estimate(pts, "l1", 20, "first", 1e-12, 1)
+
+
+def test_ratio_csv_matches_the_reference_estimate(monkeypatch, tmp_path):
+    config = dict(n=12, sigma_grid=(0.01, 0.3), restarts=6, seeds=3, base_seed=5, pivot="best")
+    write_csv(ratio_experiment(**config), str(tmp_path / "batched.csv"), RATIO_COLUMNS)
+    monkeypatch.setattr(harness, "estimate_two_opt_max", scan_oracle.estimate_two_opt_max)
+    write_csv(ratio_experiment(**config), str(tmp_path / "oracle.csv"), RATIO_COLUMNS)
+    assert (tmp_path / "batched.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
