@@ -3,11 +3,14 @@
 Two independent exact TSP solvers are kept side by side on purpose --
 ``brute_force`` (permutation enumeration, n <= 11) and ``held_karp``
 (bitmask dynamic program, n <= 20) -- so each can vouch for the other in
-tests.  ``mst_length`` is a dense Prim implementation that computes the
-distance row of each vertex from coordinates as the vertex joins the tree,
-so it needs O(n) memory and no n x n matrix; under any metric satisfying the
-triangle inequality MST <= TSP <= 2 MST, which powers the cheap
-approximation-ratio lower bound used on instances too large to solve.
+tests.  ``mst_length`` is Prim's algorithm over the live vertices: as a
+vertex joins the tree, its distance row is computed from coordinates
+against the vertices not yet in the tree only, so a join costs O(live), and
+the tree takes O(n) memory and no n x n matrix.  It runs on the
+nearest-neighbour start's walk, ``tour._nn_walk``, and so shares its tie
+rule (smallest index).  Under any metric satisfying the triangle inequality
+MST <= TSP <= 2 MST, which powers the cheap approximation-ratio lower bound
+used on instances too large to solve.
 
 ``estimate_two_opt_max`` approximates the *worst* 2-optimal tour length by
 restarting the engine from many random tours and keeping the maximum; its
@@ -33,7 +36,7 @@ import time
 import numpy as np
 
 from .geometry import Metric, pairwise_distances, vec_dist
-from .tour import _SCAN_BLOCK, Tour, _coords, _restarts, _tour_order
+from .tour import _SCAN_BLOCK, Tour, _coords, _nn_walk, _restarts, _tour_order
 
 __all__ = [
     "ExactResult",
@@ -164,23 +167,16 @@ def held_karp(inst_or_points, metric: Metric | str = Metric.EUCLIDEAN) -> ExactR
 
 
 def mst_length(inst_or_points, metric: Metric | str = Metric.EUCLIDEAN) -> float:
-    """Minimum-spanning-tree weight by dense Prim, reading coordinate rows."""
-    m = Metric.parse(metric)
-    pts = _coords(inst_or_points)
-    n = pts.shape[0]
-    if n == 1:
-        return 0.0
-    in_tree = np.zeros(n, dtype=bool)
-    in_tree[0] = True
-    best = vec_dist(pts[0], pts, m)
-    best[0] = np.inf
+    """Minimum-spanning-tree weight by Prim over the live vertices.
+
+    ``tour._nn_walk`` grows the tree from vertex 0, one coordinate row per
+    join against the vertices not yet in it, ties to the smallest index; the
+    weight is the sum of the join keys, added in join order.
+    """
+    _, keys = _nn_walk(_coords(inst_or_points), metric, tree=True)
     total = 0.0
-    for _ in range(n - 1):
-        v = int(np.argmin(best))
-        total += float(best[v])
-        in_tree[v] = True
-        best = np.minimum(best, vec_dist(pts[v], pts, m))
-        best[in_tree] = np.inf
+    for w in keys:
+        total += w
     return total
 
 

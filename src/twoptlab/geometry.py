@@ -122,10 +122,39 @@ def vec_dist(a, b, metric: Metric | str = Metric.EUCLIDEAN) -> np.ndarray:
     """Distances between the points of two arrays broadcast against each other.
 
     ``a`` and ``b`` are (..., d) coordinate arrays that broadcast to a common
-    shape (..., d); the result has shape (...).  This is the only code that
-    computes l1, l2 and l2sq.
+    shape (..., d); the result has shape (...), and a single pair gives an
+    ``np.float64``.  This is the only code that computes l1, l2 and l2sq.
+
+    Rows and blocks with d <= 2 are computed per coordinate on strided
+    views: one subtraction per coordinate, then |dx| + |dy| or dx*dx + dy*dy.
+    A sum of one or two terms has one order, which ``sum`` and ``einsum``
+    both take, so the bits are those of the general path below, without its
+    per-call cost over a length-2 trailing axis.  From d = 3 on ``einsum``
+    adds the products in an order of its own (at d = 4 it is
+    (p0 + p2) + (p1 + p3)), so higher dimensions, and single pairs, where
+    the cost is the call itself, keep the general path.
     """
     m = Metric.parse(metric)
+    a, b = np.asarray(a), np.asarray(b)
+    dims = a.shape[-1:] + b.shape[-1:]
+    if len(dims) == 2 and max(a.ndim, b.ndim) > 1 and 0 < min(dims) <= max(dims) <= 2:
+        # index -1 is the second coordinate, or the first where a trailing
+        # axis of length 1 broadcasts
+        x = np.subtract(a[..., 0], b[..., 0], dtype=np.float64)
+        y = np.subtract(a[..., -1], b[..., -1], dtype=np.float64) if max(dims) == 2 else None
+        if m is Metric.MANHATTAN:
+            np.abs(x, out=x)
+            if y is not None:
+                x += np.abs(y, out=y)
+            return x
+        with np.errstate(over="ignore"):  # as in einsum, a square overflows to inf silently
+            x *= x
+            if y is not None:
+                y *= y
+                x += y
+        if m is Metric.EUCLIDEAN:
+            np.sqrt(x, out=x)
+        return x
     diff = np.subtract(a, b, dtype=np.float64)
     if m is Metric.MANHATTAN:
         return np.abs(diff, out=diff).sum(axis=-1)

@@ -330,8 +330,7 @@ def build_long_tour(
     center = v3.size // 2
     # nearest-neighbour walk from the left bridge anchor through the cluster
     ids = np.concatenate(([v3[center - 1], v3[center]], rows[("pad", t)]))
-    sub = pts[ids]
-    walk = _nn_walk(ids.size, lambda v: vec_dist(sub[v], sub, Metric.EUCLIDEAN))
+    walk = _nn_walk(pts[ids], Metric.EUCLIDEAN)[0]
     path = _path_two_opt(
         pts, [int(v) for v in ids[walk]] + [int(v3[center + 1])], path_eps
     )[1:-1]

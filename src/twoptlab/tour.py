@@ -296,8 +296,9 @@ def initial_tour(
     "greedy_insertion" (cheapest insertion from vertex 0; ties prefer the
     smallest vertex, then the earliest tour edge).  Only "random" consumes
     randomness; ``seed`` may be an int or a numpy Generator.  The
-    nearest-neighbour walk reads coordinate rows; only greedy insertion
-    builds a distance matrix, and frees it on return.
+    nearest-neighbour walk reads coordinate rows against the unvisited
+    points only; only greedy insertion builds a distance matrix, and frees
+    it on return.
     """
     pts = _coords(inst_or_points)
     return Tour.from_order(_start_order(pts, metric, _rule_token(rule), seed))
@@ -313,7 +314,7 @@ def _start_order(pts: np.ndarray, metric, rule: str, seed) -> np.ndarray:
         shift = int(np.flatnonzero(order == 0)[0])
         return np.concatenate((order[shift:], order[:shift]))
     if rule == "nearest_neighbor":
-        return np.array(_nn_walk(n, lambda v: vec_dist(pts[v], pts, metric)))
+        return np.array(_nn_walk(pts, metric)[0])
     # greedy_insertion: each remaining vertex keeps its cheapest insertion
     # cost and the position of the earliest tour edge that attains it.  An
     # insertion replaces one edge by two, so only the vertices whose best
@@ -363,20 +364,38 @@ def _cheapest_insertions(D: np.ndarray, order: np.ndarray, ws: np.ndarray):
     return cost, edge
 
 
-def _nn_walk(n: int, row) -> list[int]:
-    """Nearest-neighbour order of vertices 0..n-1 from vertex 0.
+def _nn_walk(pts: np.ndarray, metric, tree: bool = False) -> tuple[list[int], list[float]]:
+    """Visit every point from point 0, each step taking the live point of least
+    key, ties to the smallest index: the visit order and the keys taken.
 
-    ``row(v)`` gives the distances from v to all n vertices; each step moves
-    to the nearest unvisited vertex, ties to the smallest index.
+    The key of a live point is its distance to the point visited last (the
+    nearest-neighbour walk) or, with ``tree``, to the nearest visited point
+    (Prim's tree, whose weight is the sum of the keys in visit order).  Each
+    step computes one coordinate row against the live points only.  They
+    stay in index order, so the first least key is the smallest index; a
+    point leaves with inf coordinates and key, which keep it from ever
+    being least, and the arrays are compacted once more than half of them
+    are dead.  So a step costs O(live) and the walk O(n) memory.
     """
-    visited = np.zeros(n, dtype=bool)
-    order = [0]
-    visited[0] = True
+    metric = Metric.parse(metric)
+    n = pts.shape[0]
+    ids = np.arange(n)
+    live = pts.copy()
+    key = np.full(n, np.inf)
+    order, keys = [0], []
+    live[0], ids[0], dead = np.inf, -1, 1
     for _ in range(n - 1):
-        cur = int(np.argmin(np.where(visited, np.inf, row(order[-1]))))
-        visited[cur] = True
-        order.append(cur)
-    return order
+        row = vec_dist(pts[order[-1]], live, metric)
+        key = np.minimum(key, row, out=key) if tree else row
+        k = int(key.argmin())
+        order.append(int(ids[k]))
+        keys.append(float(key[k]))
+        live[k], key[k], ids[k] = np.inf, np.inf, -1
+        dead += 1
+        if 2 * dead > ids.size:
+            keep = ids >= 0
+            ids, live, key, dead = ids[keep], live[keep], key[keep], 0
+    return order, keys
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,18 @@ certifier verdicts and the same tours as these loops.  ``_reverse_segment``
 is the engine's old segment reversal (a roll on the outer side), which the
 package replaced with in-place flips of the order and its position matrix;
 the reference run applies it, so the runs must also agree on every order.
-``_nn_path`` is the
+``vec_dist`` is the package's distance formula before it worked per
+coordinate (differences, then einsum or abs-sum over the trailing axis),
+and ``pairwise_distances`` builds the oracle's matrices from it, so no
+oracle here shares the distance code it checks; test_geometry requires the
+package's distances to equal it bit for bit.  ``_nn_path`` is the
 layered module's own nearest-neighbour path through the padding cluster,
-which the package replaced with the engine's walk over coordinate rows; the
-walk must visit the same points in the same order.  ``mst_length`` is the
+and ``nn_walk`` the start rule's old walk over full matrix rows; the package
+replaced both with one walk over the live points' coordinate rows, which
+must visit the same points in the same order.  ``mst_length`` is the
 dense Prim over a full distance matrix that the package replaced with Prim
-over coordinate rows; the test requires the same weight, bit for bit.
+over the live vertices' coordinate rows, driven by the same walk; the test
+requires the same weight, bit for bit.
 ``greedy_insertion`` is the start rule's old loop, which prices every
 remaining vertex against every tour edge at each step; the package keeps a
 cheapest insertion per vertex instead, and must build the same order.
@@ -37,9 +43,31 @@ import math
 import numpy as np
 
 import twoptlab
-from twoptlab.geometry import Metric, _gain, pairwise_distances, vec_dist
+from twoptlab.geometry import Metric, _gain
 from twoptlab.layered import LayeredInstance, layered_params
 from twoptlab.tour import Tour, _coords, _make_change, initial_tour
+
+
+def vec_dist(a, b, metric) -> np.ndarray:
+    """The package's distance formula before it worked per coordinate:
+    differences over the trailing axis, then einsum (l2, l2sq) or abs-sum (l1)."""
+    m = Metric.parse(metric)
+    diff = np.subtract(a, b, dtype=np.float64)
+    if m is Metric.MANHATTAN:
+        return np.abs(diff, out=diff).sum(axis=-1)
+    d = np.einsum("...k,...k->...", diff, diff)
+    if m is Metric.EUCLIDEAN:
+        d = np.sqrt(d)
+    return d
+
+
+def pairwise_distances(pts, metric) -> np.ndarray:
+    """Dense distance matrix, one vec_dist row at a time; zero diagonal."""
+    pts = np.asarray(pts, dtype=np.float64)
+    D = np.stack([vec_dist(p, pts, metric) for p in pts])
+    np.fill_diagonal(D, 0.0)
+    return D
+
 
 # Scans work on (D, order) with edge i = (order[i], order[(i+1) % n]).
 # Candidate pairs: j in [i+2, n-1], minus (0, n-1); i runs to n-3.
@@ -186,6 +214,20 @@ def _nn_path(pts: np.ndarray, start: int, cluster: np.ndarray, end: int) -> list
         cur = remaining.pop(k)
         path.append(cur)
     return path
+
+
+def nn_walk(pts: np.ndarray, metric) -> list[int]:
+    """Nearest-neighbour order from vertex 0 over the full matrix; ties to the smallest index."""
+    D = pairwise_distances(pts, metric)
+    n = D.shape[0]
+    visited = np.zeros(n, dtype=bool)
+    order = [0]
+    visited[0] = True
+    for _ in range(n - 1):
+        cur = int(np.argmin(np.where(visited, np.inf, D[order[-1]])))
+        visited[cur] = True
+        order.append(cur)
+    return order
 
 
 def _path_two_opt(pts: np.ndarray, path: list[int], eps: float) -> list[int]:

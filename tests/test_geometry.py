@@ -1,13 +1,16 @@
 """Distance measures, gain arithmetic, and the eta/delta geometry."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scan_oracle
 from twoptlab import Metric, delta, distance, eta_geometry_y, pairwise_distances, two_change_gain
+from twoptlab.geometry import vec_dist
 
 SQ = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
@@ -89,6 +92,48 @@ def test_pairwise_distances_exact_near_coincident():
     pts = np.array([[0.5, 0.5], [0.5 + 1e-9, 0.5], [0.25, 0.25]])
     mat = pairwise_distances(pts, Metric.EUCLIDEAN)
     assert mat[0, 1] == pytest.approx(1e-9, rel=1e-9)
+
+
+def _vec_dist_inputs(d: int):
+    """(name, a, b) argument pairs of every shape vec_dist is called with."""
+    rng = np.random.default_rng(d)
+    n = 37
+    for scale in (1.0, 1e-9, 1e6 / 3, 1e150, 1e160):  # from 1e160 on squares overflow
+        pts = scale * rng.standard_normal((n, d))
+        yield f"single {scale}", pts[0], pts[1]
+        yield f"row {scale}", pts[3], pts
+        yield f"block {scale}", pts[:5, None, :], pts[None, :, :]
+        yield f"pairs {scale}", pts, np.roll(pts, 1, axis=0)
+        if scale < 1e38:  # float32's range
+            yield f"float32 {scale}", pts[:7].astype(np.float32), pts[7:14].astype(np.float32)
+            yield f"float32 row {scale}", pts[0].astype(np.float32), pts.astype(np.float32)
+    ints = rng.integers(-3, 4, size=(n, d))  # small lattice: ties and coincident points
+    yield "int lists", ints.tolist(), ints[::-1].tolist()
+    yield "int row", ints[0].tolist(), ints
+    yield "int single", ints[0].tolist(), ints[1].tolist()
+    same = np.full((n, d), 0.1)
+    yield "coincident", same[0], same
+    yield "coincident pairs", same, same
+    pts = rng.random((n, d))
+    yield "scalar", 0.5, pts  # broadcasts over every coordinate
+    yield "one coordinate", pts[:, :1], pts[::-1]  # a trailing axis of length 1 broadcasts
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+@pytest.mark.parametrize("metric", ["l1", "l2", "l2sq"])
+def test_vec_dist_matches_reference_formula(metric, d):
+    # the per-coordinate path (d <= 2) and the einsum path must both give
+    # the reference formula's bits, its type and its silence on overflow
+    overflowed = False
+    for name, a, b in _vec_dist_inputs(d):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, want = vec_dist(a, b, metric), scan_oracle.vec_dist(a, b, metric)
+        assert type(got) is type(want), name
+        assert np.shape(got) == np.shape(want) and np.asarray(got).dtype == np.float64, name
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+        overflowed |= bool(np.isinf(want).any())
+    assert overflowed == (metric != "l1")
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,13 @@ onto that path and onto the blocked kernel, they must both match the
 reference loops and each other, random draws included, and the certifier's
 gain must be two_change_gain of its edges.  Coordinates whose distances
 overflow are rejected at every entry point.  The layered
-padding path comes from the engine's nearest-neighbour walk and must visit
-the points the old path did, in the same order.  The MST,
-computed from coordinate rows, must weigh exactly what the reference dense
-Prim over the full matrix gives.  Greedy insertion must build the reference
+padding path, the nearest-neighbour start and the MST share one walk over
+the live points' coordinate rows: the path must visit the points the old
+path did, in the same order, the start must be the old walk over full
+matrix rows, and the MST must weigh exactly what the reference dense Prim
+over the full matrix gives, also on a corpus of ties (coincident padding,
+lattices, one to three points).  The oracles compute their distances with
+their own copy of the reference formula.  Greedy insertion must build the reference
 loop's order while holding one distance matrix.  The exact oracles,
 held_karp's blocked min-plus passes and min_improvement's per-vertex gain
 blocks, must return the reference loops' lengths, tours and smallest gains,
@@ -121,7 +124,7 @@ def test_runs_in_tiny_blocks_match_reference_scans(tiny_blocks, metric, pivot, i
 
 def _check_find_improving(metric):
     for n, seed, pts in _corpus(range(4)):
-        D = pairwise_distances(pts, metric)
+        D = scan_oracle.pairwise_distances(pts, metric)
         tour = Tour.from_order(np.random.default_rng(seed).permutation(n))
         for pivot in PIVOTS:
             got = find_improving(tour, pts, metric, pivot=pivot, seed=seed)
@@ -351,7 +354,7 @@ def test_adjacent_wrap_pair_is_never_a_candidate(metric):
         rng = np.random.default_rng(seed)
         angles = np.sort(rng.random(8)) * 2.0 * np.pi
         pts = 1e6 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        D = pairwise_distances(pts, metric)
+        D = scan_oracle.pairwise_distances(pts, metric)
         residues += bool(D[0, 1] + D[7, 0] - D[0, 7] - D[1, 0] > 1e-12)
         tour = Tour.from_order(range(8))
         for pivot in PIVOTS:
@@ -394,33 +397,38 @@ def _cluster_ids(li):
 @pytest.mark.parametrize("sigma, seeds", [(3e-6, range(6)), (0.0, range(1))], ids=["3e-6", "0"])
 def test_nn_walk_matches_reference_path(sigma, seeds):
     # at sigma = 0 the padding points coincide with C, so every step is a tie
-    li = build_layered(3, sigma)
-    left, cluster, right = _cluster_ids(li)
-    ids = np.concatenate(([left], cluster))
-    for seed in seeds:
-        pts = li.perturbed(seed).points
-        sub = pts[ids]
-        walk = _nn_walk(ids.size, lambda v: vec_dist(sub[v], sub, "l2"))
-        assert walk[0] == 0
-        assert [int(v) for v in ids[walk[1:]]] == scan_oracle._nn_path(pts, left, cluster, right)
+    for t in (None,) if sigma else (1, 3):
+        li = build_layered(3, sigma, t)
+        left, cluster, right = _cluster_ids(li)
+        ids = np.concatenate(([left], cluster))
+        for seed in seeds:
+            pts = li.perturbed(seed).points
+            walk = np.array(_nn_walk(pts[ids], "l2")[0])
+            assert walk[0] == 0
+            assert [int(v) for v in ids[walk[1:]]] == scan_oracle._nn_path(pts, left, cluster, right)
 
 
 def test_build_long_tour_matches_reference(monkeypatch):
-    li = build_layered(3, 3e-6)
-    insts = [li.perturbed(seed) for seed in range(4)]
-    got = [build_long_tour(li, inst).order for inst in insts]
-    # the reference build: the old cluster path (vertex ids mapped to the
-    # walk's positions, [left anchor] + cluster) and the old path 2-opt
-    left, cluster, right = _cluster_ids(li)
-    position = {int(v): k for k, v in enumerate(cluster, start=1)}
-    monkeypatch.setattr(layered, "_path_two_opt", scan_oracle._path_two_opt)
-    want = []
-    for inst in insts:
-        path = scan_oracle._nn_path(inst.points, left, cluster, right)
-        monkeypatch.setattr(layered, "_nn_walk", lambda n, row: [0] + [position[v] for v in path])
-        want.append(build_long_tour(li, inst).order)
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w)
+    # sigma = 0 builds on coincident padding and a tied lattice
+    cases = [(build_layered(3, 3e-6), range(4))]
+    cases += [(build_layered(3, 0.0, t), [None]) for t in (1, 3)]
+    for li, seeds in cases:
+        insts = [li.unperturbed() if seed is None else li.perturbed(seed) for seed in seeds]
+        got = [build_long_tour(li, inst).order for inst in insts]
+        # the reference build: the old cluster path (vertex ids mapped to the
+        # walk's positions, [left anchor] + cluster) and the old path 2-opt
+        left, cluster, right = _cluster_ids(li)
+        position = {int(v): k for k, v in enumerate(cluster, start=1)}
+        with monkeypatch.context() as patch:
+            patch.setattr(layered, "_path_two_opt", scan_oracle._path_two_opt)
+            want = []
+            for inst in insts:
+                path = scan_oracle._nn_path(inst.points, left, cluster, right)
+                patch.setattr(layered, "_nn_walk",
+                              lambda pts, metric: ([0] + [position[v] for v in path], None))
+                want.append(build_long_tour(li, inst).order)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w), li.params
 
 
 @pytest.mark.parametrize("metric", METRICS)
@@ -446,6 +454,20 @@ def test_greedy_insertion_holds_one_matrix():
     assert peak < 1.3 * 8 * n**2
 
 
+def _tie_corpus():
+    """(name, points) where the live-set walks meet ties: the layered
+    construction at sigma = 0 (coincident padding, lattice distances), one
+    to three points, a set of coincident points, and 1-d and 3-d grids."""
+    for t in (1, 3):
+        yield f"layered t={t}", build_layered(3, 0.0, t).unperturbed().points
+    rng = np.random.default_rng(0)
+    for n in (1, 2, 3):
+        yield f"n={n}", rng.random((n, 2))
+    yield "coincident", np.full((9, 2), 0.375)
+    for dim in (1, 3):
+        yield f"grid {dim}-d", make_origins("grid", 27, dim, 0)
+
+
 @pytest.mark.parametrize("metric", METRICS)
 def test_mst_length_matches_dense_prim(metric):
     # grids carry many tied distances, so a change in tie-breaking shows
@@ -453,6 +475,43 @@ def test_mst_length_matches_dense_prim(metric):
         assert mst_length(pts, metric) == scan_oracle.mst_length(pts, metric), (n, seed)
     pts = build_layered(3, 3e-6).perturbed(0).points
     assert mst_length(pts, metric) == scan_oracle.mst_length(pts, metric)
+    for name, pts in _tie_corpus():
+        assert mst_length(pts, metric) == scan_oracle.mst_length(pts, metric), name
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_nearest_neighbor_start_matches_dense_walk(metric):
+    # the walk over live coordinate rows against the old walk over full matrix rows
+    corpus = ((f"n={n} seed={seed}", pts) for n, seed, pts in _corpus(range(2)))
+    for name, pts in itertools.chain(_tie_corpus(), corpus):
+        want = scan_oracle.nn_walk(pts, metric)
+        assert _nn_walk(pts, metric)[0] == want, name
+        if len(pts) >= 3:
+            got = initial_tour(pts, metric, "nearest_neighbor").order
+            assert np.array_equal(got, Tour.from_order(want).order), name
+
+
+def test_live_set_compacts_without_changing_the_walk(monkeypatch):
+    # a walk computes each row against its live points only and compacts
+    # them once more than half are dead, so row k holds between the 63 - k
+    # live points and twice as many
+    lengths = []
+
+    def row(a, b, metric):
+        lengths.append(len(b))
+        return vec_dist(a, b, metric)
+
+    monkeypatch.setattr(twoptlab.tour, "vec_dist", row)
+    pts = make_origins("grid", 64, 2, 0)
+    for tree in (False, True):
+        lengths.clear()
+        order, keys = _nn_walk(pts, "l2", tree)
+        assert len(lengths) == len(keys) == 63
+        assert all(63 - k <= size <= 2 * (63 - k) for k, size in enumerate(lengths))
+        assert sorted(order) == list(range(64))
+    monkeypatch.undo()
+    assert _nn_walk(pts, "l2")[0] == scan_oracle.nn_walk(pts, "l2")
+    assert mst_length(pts, "l2") == scan_oracle.mst_length(pts, "l2")
 
 
 def _oracle_corpus():
