@@ -15,11 +15,12 @@ used on instances too large to solve.
 ``estimate_two_opt_max`` approximates the *worst* 2-optimal tour length by
 restarting the engine from many random tours and keeping the maximum; its
 seeds are spawned from one SeedSequence, so the estimate is monotone
-non-decreasing in the number of restarts.  The restarts run as lockstep
-batches of about _SCAN_BLOCK // (n+1)^2 tours through the engine's descent
-(one kernel pass per step for the whole batch), so their position matrices
-take O(_SCAN_BLOCK) memory beside one n x n distance matrix; each restart
-still ends exactly where run_two_opt ends for its seed.
+non-decreasing in the number of restarts.  The restarts go through the
+engine's runner, the one behind run_two_opt, as lockstep batches of about
+_SCAN_BLOCK // (n+1)^2 tours (one kernel pass per step for the whole
+batch), so their position matrices take O(_SCAN_BLOCK) memory, or one
+(n+1) x (n+1) matrix from n = 128 on; each restart's record is
+run_two_opt's for its seed.
 
 ``edge_length_histogram`` buckets tour edges into the dyadic scale
 [OPT/2^i, OPT/2^(i-1)); the identity sum_i L(T_i) = L(T) makes it the
@@ -36,7 +37,7 @@ import time
 import numpy as np
 
 from .geometry import Metric, pairwise_distances, vec_dist
-from .tour import _SCAN_BLOCK, Tour, _coords, _nn_walk, _restarts, _tour_order
+from .tour import _SCAN_BLOCK, Tour, _coords, _nn_walk, _runs, _tour_order
 
 __all__ = [
     "ExactResult",
@@ -190,8 +191,8 @@ def estimate_two_opt_max(
 ) -> float:
     """Largest 2-optimal tour length seen over random-restart runs.
 
-    Restart r draws its seed from SeedSequence(seed).spawn(...)[r] and
-    ends where run_two_opt(..., init="random", seed=that seed) ends; since
+    Restart r draws its seed from SeedSequence(seed).spawn(...)[r], and its
+    record is run_two_opt(..., init="random", seed=that seed)'s; since
     spawning is prefix-stable, increasing ``restarts`` can only add runs,
     never change earlier ones, so the estimate is monotone non-decreasing.
     The restarts run in lockstep batches of about _SCAN_BLOCK // (n+1)^2
@@ -203,8 +204,7 @@ def estimate_two_opt_max(
         raise ValueError(f"need at least one restart, got {restarts}")
     seeds = [int(child.generate_state(1, np.uint64)[0])
              for child in np.random.SeedSequence(seed).spawn(restarts)]
-    runs = _restarts(_coords(inst_or_points), metric, pivot, eps, seeds)
-    return max(run.final_length for run in runs)
+    return max(run.final_length for run in _runs(inst_or_points, metric, "random", pivot, eps, seeds))
 
 
 def edge_length_histogram(

@@ -74,6 +74,8 @@ def as_points(points: Iterable) -> np.ndarray:
         arr = arr.reshape(1, -1)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError(f"expected an (n, d) coordinate array, got shape {arr.shape}")
+    # C order: vec_dist's einsum path (d >= 3) adds in an order that follows the layout
+    arr = np.ascontiguousarray(arr)
     span = float(arr.max()) - float(arr.min())
     if not math.isfinite(2 * arr.size * (span * span)):
         raise ValueError("coordinates must be finite and keep 2 n d (max - min)^2 finite, "
@@ -107,14 +109,19 @@ def pairwise_distances(points, metric: Metric | str = Metric.EUCLIDEAN) -> np.nd
 
 
 def _pairwise(pts: np.ndarray, metric: Metric | str) -> np.ndarray:
-    """pairwise_distances of an (n, d) array that as_points has already checked."""
+    """pairwise_distances of (..., n, d) points that as_points has already checked: (..., n, n).
+
+    Leading axes stack point sets; a block holds its rows of every set, so
+    the block budget covers the whole stack.
+    """
     m = Metric.parse(metric)
-    n = pts.shape[0]
-    d = np.empty((n, n))
-    block = max(1, _BLOCK_ELEMENTS // (n * (pts.shape[1] + 1)))
+    *lead, n, dim = pts.shape
+    d = np.empty((*lead, n, n))
+    block = max(1, _BLOCK_ELEMENTS // (math.prod(lead) * n * (dim + 1)))
     for lo in range(0, n, block):
-        d[lo : lo + block] = vec_dist(pts[lo : lo + block, None, :], pts[None, :, :], m)
-    np.fill_diagonal(d, 0.0)
+        d[..., lo : lo + block, :] = vec_dist(pts[..., lo : lo + block, None, :],
+                                              pts[..., None, :, :], m)
+    d.reshape(*lead, n * n)[..., :: n + 1] = 0.0
     return d
 
 

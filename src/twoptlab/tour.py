@@ -24,12 +24,15 @@ P[a, b] = d(order[a % n], order[b % n]).  The tour's edge lengths are its
 first superdiagonal and the kernel's distance blocks are plain slices of
 it, with a leading tour axis, so one kernel pass scans every live tour of
 the batch.  Each step retires the tours with no improving pair and applies
-one change to each of the others.  A batch of one -- every
-``run_two_opt`` -- reverses the matching rows and columns in place; a
-larger batch -- the restarts of ``exact.estimate_two_opt_max`` -- moves
-each tour's order and matrix with one gather.  Both reach the same
-matrices, entry for entry.  The layered path 2-opt computes its blocks
-from coordinates.  The arithmetic is the same, so every caller sees
+one change to each of the others.  A batch of one reverses the matching
+rows and columns in place; a larger batch moves each tour's order and
+matrix with one gather.  Both reach the same matrices, entry for entry.
+One runner, ``_runs``, sets every descent up: it draws each seed's start,
+computes each batch's matrices from the tour-ordered points and returns
+one ``RunRecord`` per seed.  ``run_two_opt`` is the runner over one seed
+and ``exact.estimate_two_opt_max`` the largest final length over its
+restarts' seeds.  The layered path 2-opt computes its blocks from
+coordinates.  The arithmetic is the same, so every caller sees
 bit-identical gains.
 
 ``find_improving`` and ``certify_two_optimality`` scan once from
@@ -716,21 +719,9 @@ def apply_two_change(tour: Tour, change: TwoChange) -> Tour:
     return Tour.from_order(new_order, cached_length=cached, metric=tour.metric)
 
 
-@dataclasses.dataclass
-class _Descent:
-    """One tour's descent, as run_two_opt records it."""
-
-    iterations: int
-    min_gain: float | None
-    converged: bool
-    final_order: list[int]
-    final_length: float
-    changes: list[TwoChange]
-
-
 def _descend(P: np.ndarray, orders: np.ndarray, pivot: str, eps: float, rngs,
-             max_iter: int | None = None, keep_changes: bool = False) -> list[_Descent]:
-    """2-opt to local optimality on a batch of tours in lockstep, one _Descent per tour.
+             max_iter: int | None = None, keep_changes: bool = False) -> list[dict]:
+    """2-opt to local optimality on a batch of tours in lockstep.
 
     Tour t has the order orders[t], its position matrix P[t] and the
     generator rngs[t] for random-pivot draws.  Each step scans every live
@@ -738,11 +729,13 @@ def _descend(P: np.ndarray, orders: np.ndarray, pivot: str, eps: float, rngs,
     max_iter changes applied, and applies its picked change to each of the
     others.  A batch of one reverses its order and matrix in place; a larger
     batch moves every tour's order and matrix with one gather, which also
-    drops the retired tours.  Raises ValueError when a change would undo the
+    drops the retired tours.  Returns, per tour, the RunRecord fields its
+    descent sets, by name.  Raises ValueError when a change would undo the
     one before it, which only rounding can make look improving at this eps.
     """
     tours, n = orders.shape
     runs: list = [None] * tours
+    initial = [float(P[t].diagonal(1).sum()) for t in range(tours)]
     iterations, min_gain = [0] * tours, [None] * tours
     changes: list[list[TwoChange]] = [[] for _ in range(tours)]
     undo: list = [None] * tours  # the positions of the edges each tour's last change added
@@ -757,8 +750,10 @@ def _descend(P: np.ndarray, orders: np.ndarray, pivot: str, eps: float, rngs,
             if hit is None or (max_iter is not None and iterations[t] >= max_iter):
                 # the flips leave the order rotated; the record starts at vertex 0
                 rot = (np.arange(n) + int(np.flatnonzero(orders[row] == 0)[0])) % n
-                runs[t] = _Descent(iterations[t], min_gain[t], hit is None,
-                                   orders[row, rot].tolist(), float(el[row, rot].sum()), changes[t])
+                runs[t] = dict(initial_length=initial[t], final_length=float(el[row, rot].sum()),
+                               iterations=iterations[t], min_gain_observed=min_gain[t],
+                               converged=hit is None, final_order=orders[row, rot].tolist(),
+                               changes=changes[t])
                 continue
             i, j, gain = hit
             # removing both edges the last change added can only undo it, so both
@@ -808,57 +803,39 @@ def run_two_opt(
     run ends when a full scan finds no pair with gain > eps (converged=True)
     or when max_iter changes have been applied (converged=False).  It raises
     ValueError when a change would undo the one before it, which only
-    rounding can make look improving at this eps.  The run is a batch of one
-    tour of the engine's descent.
+    rounding can make look improving at this eps.  The run is the engine's
+    runner over one seed: a batch of one tour of the descent.
+    """
+    return _runs(inst_or_points, metric, init, pivot, eps, [seed], max_iter, keep_changes)[0]
+
+
+def _runs(inst_or_points, metric, init: str, pivot: str, eps: float, seeds,
+          max_iter: int | None = None, keep_changes: bool = False) -> list[RunRecord]:
+    """run_two_opt's record for each seed, the runs in lockstep batches of the descent.
+
+    A batch holds max(1, _SCAN_BLOCK // (n+1)^2) tours (one from n = 128
+    on), so its position matrices take about _SCAN_BLOCK elements.  Tour
+    t's matrix, P[a, b] = d(order[a % n], order[b % n]), holds the tour's
+    edges on its first superdiagonal, and the kernel's blocks are slices of
+    it; the batch's matrices are computed together from its tour-ordered
+    points.
     """
     _check_pivot(pivot)
     rule = _rule_token(init)
     _check_stopping(eps, max_iter)
     pts = _coords(inst_or_points)
-    rng = np.random.default_rng(seed)
-    order = _start_order(pts, metric, rule, rng)
-    # the position matrix P[a, b] = d(order[a % n], order[b % n]): the tour's
-    # edges lie on its first superdiagonal and the kernel's blocks are slices
-    P = _pairwise(pts[np.append(order, order[0])], metric)
-    initial_length = float(P.diagonal(1).sum())
-    run = _descend(P[None], order[None], pivot, eps, [rng], max_iter, keep_changes)[0]
-    return RunRecord(
-        seed=int(seed),
-        metric=Metric.parse(metric).value,
-        pivot=pivot,
-        init=rule,
-        n=order.size,
-        eps=eps,
-        initial_length=initial_length,
-        final_length=run.final_length,
-        iterations=run.iterations,
-        min_gain_observed=run.min_gain,
-        converged=run.converged,
-        final_order=run.final_order,
-        changes=run.changes,
-    )
-
-
-def _restarts(pts: np.ndarray, metric, pivot: str, eps: float, seeds) -> list[_Descent]:
-    """run_two_opt(pts, metric, "random", pivot, eps, seed) for each seed, in lockstep batches.
-
-    ``pts`` must have passed as_points.  A batch holds about
-    _SCAN_BLOCK // (n+1)^2 tours (one from n = 128 on), so its position
-    matrices take about _SCAN_BLOCK elements; they are gathered from one
-    distance matrix.  No changes are kept.
-    """
-    _check_pivot(pivot)
-    _check_stopping(eps)
     n = pts.shape[0]
-    D = _pairwise(pts, metric)
     size = max(1, _SCAN_BLOCK // (n + 1) ** 2)
-    runs = []
+    records = []
     for lo in range(0, len(seeds), size):
-        rngs = [np.random.default_rng(s) for s in seeds[lo : lo + size]]
-        orders = np.array([_start_order(pts, metric, "random", rng) for rng in rngs])
+        batch = seeds[lo : lo + size]
+        rngs = [np.random.default_rng(s) for s in batch]
+        orders = np.array([_start_order(pts, metric, rule, rng) for rng in rngs])
         ext = np.hstack((orders, orders[:, :1]))
-        runs += _descend(D[ext[:, :, None], ext[:, None, :]], orders, pivot, eps, rngs)
-    return runs
+        runs = _descend(_pairwise(pts[ext], metric), orders, pivot, eps, rngs, max_iter, keep_changes)
+        records += [RunRecord(seed=int(s), metric=Metric.parse(metric).value, pivot=pivot,
+                              init=rule, n=n, eps=eps, **run) for s, run in zip(batch, runs)]
+    return records
 
 
 def certify_two_optimality(

@@ -9,8 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scan_oracle
-from twoptlab import Metric, delta, distance, eta_geometry_y, pairwise_distances, two_change_gain
-from twoptlab.geometry import vec_dist
+from twoptlab import (
+    Metric,
+    delta,
+    distance,
+    eta_geometry_y,
+    held_karp,
+    min_improvement,
+    pairwise_distances,
+    two_change_gain,
+)
+from twoptlab.geometry import _pairwise, vec_dist
 
 SQ = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
@@ -92,6 +101,35 @@ def test_pairwise_distances_exact_near_coincident():
     pts = np.array([[0.5, 0.5], [0.5 + 1e-9, 0.5], [0.25, 0.25]])
     mat = pairwise_distances(pts, Metric.EUCLIDEAN)
     assert mat[0, 1] == pytest.approx(1e-9, rel=1e-9)
+
+
+@pytest.mark.parametrize("metric", ["l1", "l2", "l2sq"])
+def test_fortran_ordered_points_give_the_bits_of_c_ordered_ones(metric):
+    # vec_dist's einsum path (d >= 3) adds in an order that follows the
+    # memory layout; as_points hands every reader C-ordered coordinates
+    pts = 1e3 * np.random.default_rng(5).standard_normal((300, 3))
+    fortran = np.asfortranarray(pts)
+    assert pairwise_distances(fortran, metric).tobytes() == pairwise_distances(pts, metric).tobytes()
+    assert held_karp(fortran[:12], metric).length.hex() == held_karp(pts[:12], metric).length.hex()
+    assert min_improvement(fortran[:12], metric).hex() == min_improvement(pts[:12], metric).hex()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("metric", ["l1", "l2", "l2sq"])
+def test_batched_pairwise_matches_one_matrix_per_set(metric, d):
+    # three tour-ordered sets of 201 points: at d = 2 the stack's blocks take
+    # 36 rows (one set alone would take 108), so every matrix spans blocks
+    rng = np.random.default_rng(d)
+    pts = rng.random((200, d))
+    orders = np.array([rng.permutation(200) for _ in range(3)])
+    sets = pts[np.hstack((orders, orders[:, :1]))]
+    got = _pairwise(sets, metric)
+    assert got.shape == (3, 201, 201)
+    for k in range(3):
+        assert got[k].tobytes() == pairwise_distances(sets[k], metric).tobytes(), k
+        assert np.all(np.diagonal(got[k]) == 0.0)
+    with pytest.raises(ValueError, match=r"\(n, d\) coordinate array"):
+        pairwise_distances(sets, metric)
 
 
 def _vec_dist_inputs(d: int):

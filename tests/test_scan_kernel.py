@@ -22,10 +22,12 @@ their own copy of the reference formula.  Greedy insertion must build the refere
 loop's order while holding one distance matrix.  The exact oracles,
 held_karp's blocked min-plus passes and min_improvement's per-vertex gain
 blocks, must return the reference loops' lengths, tours and smallest gains,
-bit for bit, at their block sizes and at tiny ones.  estimate_two_opt_max
-runs its restarts as batches of tours in lockstep: every restart must end
-where run_two_opt ends for its seed, and the estimate must be the old
-restart loop's, bit for bit, whatever the batch size and block size.
+bit for bit, at their block sizes and at tiny ones.  The engine's runner
+puts several seeds through one lockstep batch: every record must be
+run_two_opt's for its seed, byte for byte, whatever the start rule, pivot
+and max_iter, and estimate_two_opt_max must be the old restart loop's, bit
+for bit, whatever the batch size and block size, while holding no n x n
+distance matrix beside its position matrices.
 """
 
 import collections
@@ -597,7 +599,7 @@ def test_restarts_match_one_run_per_seed(monkeypatch, metric, pivot):
             if size is not None:
                 monkeypatch.setattr(twoptlab.tour, "_SCAN_BLOCK", size * (n + 1) ** 2)
                 monkeypatch.setattr(twoptlab.tour, "_SCAN_FIRST", 4)
-            runs = twoptlab.tour._restarts(pts, metric, pivot, 1e-12, seeds)
+            runs = twoptlab.tour._runs(pts, metric, "random", pivot, 1e-12, seeds)
             assert _ends(runs) == want, (n, size)
             got = estimate_two_opt_max(pts, metric, RESTARTS, pivot, seed=n)
             assert got.hex() == oracle.hex(), (n, size)
@@ -616,8 +618,36 @@ def test_batches_in_tiny_blocks_match_one_run_per_seed(tiny_blocks, metric, pivo
         ext = np.hstack((orders, orders[:, :1]))
         P = pairwise_distances(pts, metric)[ext[:, :, None], ext[:, None, :]]
         runs = twoptlab.tour._descend(P, orders, pivot, 1e-12, rngs, keep_changes=True)
-        assert _ends(runs) == _ends(want), n
-        assert [run.changes for run in runs] == [rec.changes for rec in want], n
+        assert runs == [{k: getattr(rec, k) for k in run} for run, rec in zip(runs, want)], n
+
+
+@pytest.mark.parametrize("init,pivot", itertools.product(INITS, PIVOTS))
+def test_runner_batch_matches_one_run_per_seed(init, pivot):
+    # seven seeds in one batch, stopped after three changes: tours of a batch
+    # retire at max_iter, and non-random starts share the lockstep batch
+    for n, pts in _restart_corpus():
+        seeds = _restart_seeds(n)
+        assert twoptlab.tour._SCAN_BLOCK // (n + 1) ** 2 >= len(seeds)
+        for metric in METRICS:
+            runs = twoptlab.tour._runs(pts, metric, init, pivot, 1e-12, seeds, 3, True)
+            want = [run_two_opt(pts, metric, init, pivot, seed=s, max_iter=3) for s in seeds]
+            assert ([run.to_json(include_changes=True) for run in runs]
+                    == [rec.to_json(include_changes=True) for rec in want]), (n, metric)
+
+
+def test_estimate_holds_one_position_matrix():
+    # one restart at n = 300: its (n+1) x (n+1) matrix plus bounded blocks,
+    # and no n x n distance matrix beside it
+    n = 300
+    pts = make_origins("uniform", n, 2, 0)
+    estimate_two_opt_max(pts[:20], "l2", 1)
+    tracemalloc.start()
+    try:
+        estimate_two_opt_max(pts, "l2", 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * (n + 1) ** 2
 
 
 def test_undo_guard_raises_inside_a_batch():
