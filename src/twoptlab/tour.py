@@ -24,9 +24,16 @@ P[a, b] = d(order[a % n], order[b % n]).  The tour's edge lengths are its
 first superdiagonal and the kernel's distance blocks are plain slices of
 it, with a leading tour axis, so one kernel pass scans every live tour of
 the batch.  Each step retires the tours with no improving pair and applies
-one change to each of the others.  A batch of one reverses the matching
-rows and columns in place; a larger batch moves each tour's order and
-matrix with one gather.  Both reach the same matrices, entry for entry.
+one change to each of the others.  A larger batch moves each tour's order
+and matrix with one gather and scans every pair again.  A batch of one
+reverses the matching rows and columns in place; when its pairs exceed one
+kernel block it also keeps a summary per kernel row across its steps
+(``_RowSummaries``): the row's count of gains > eps, under the best pivot
+its largest gain, and whether the summary is known.  A change of edges
+lo..hi-1 leaves every other gain's bits as they were, so a step recomputes
+only rows lo..hi-1 and, in the rows below, the columns lo..hi-1; the pick,
+the gain and the random draw stay _scan's, bit for bit.  Both paths reach
+the same matrices, entry for entry.
 One runner, ``_runs``, sets every descent up: it draws each seed's start,
 computes each batch's matrices from the tour-ordered points and returns
 one ``RunRecord`` per seed.  ``run_two_opt`` is the runner over one seed
@@ -53,9 +60,11 @@ finite).  The candidates' gains, from ``_gain``, are one block for
 When the balls hold more than ``_PRUNE_SHARE`` of the pairs (a random tour,
 say) the blocked kernel is faster and runs instead.
 
-``run_two_opt`` iterates scan+apply until no improving pair remains and
-certifies termination with a final full scan.  eps must be finite and > 0:
-a change counts as improving when its gain is > eps.  ``min_improvement``
+``run_two_opt`` iterates pick+apply until no improving pair remains: it
+has converged when every row summary is known and none holds a gain > eps
+(on a tour within one kernel block, when a full scan finds none).  eps
+must be finite and > 0: a change counts as improving when its gain is >
+eps.  ``min_improvement``
 computes the smallest positive gain over *all* ordered vertex quadruples,
 which upper bounds the number of iterations by initial_length /
 min_improvement.
@@ -499,23 +508,28 @@ def _scan(pivot: str, eps: float, el: np.ndarray, dists,
     """
     m = el.shape[1]
 
-    def gains(block, ts):
-        i0, i1 = block
-        c0 = i0 + 2
-        e = el[ts]
-        g = _gain(e[:, i0:i1, None], e[:, None, c0:], *dists(i0, i1, c0, ts))
-        rows = i1 - i0
-        np.copyto(g[:, :, :rows], -np.inf, where=_BELOW[:rows, :rows])
-        if closed and i0 == 0:
-            g[:, 0, -1] = -np.inf
-        return g
-
     def pair(block, k):
         r, c = divmod(k, m - block[0] - 2)
         return block[0] + r, block[0] + 2 + c
 
     budget = _SCAN_FIRST if pivot == "first" else _SCAN_BLOCK
-    return _pick(pivot, eps, _blocks(m, budget), gains, pair, rngs)
+    return _pick(pivot, eps, _blocks(m, budget),
+                 lambda block, ts: _gains(el, dists, *block, ts, closed), pair, rngs)
+
+
+def _gains(el: np.ndarray, dists, i0: int, i1: int, ts, closed: bool = True,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """_scan's kernel block of rows i0..i1-1 (columns i0+2..) for the tours ts,
+    tour axis first, with -inf where a row has no pair; computed into ``out``
+    if given."""
+    c0 = i0 + 2
+    e = el[ts]
+    g = _gain(e[:, i0:i1, None], e[:, None, c0:], *dists(i0, i1, c0, ts), out=out)
+    rows = i1 - i0
+    np.copyto(g[:, :, :rows], -np.inf, where=_BELOW[:rows, :rows])
+    if closed and i0 == 0:
+        g[:, 0, -1] = -np.inf
+    return g
 
 
 def _coord_dists(a: np.ndarray, b: np.ndarray, metric):
@@ -719,19 +733,189 @@ def apply_two_change(tour: Tour, change: TwoChange) -> Tour:
     return Tour.from_order(new_order, cached_length=cached, metric=tour.metric)
 
 
+def _matrix_dists(P: np.ndarray):
+    """Kernel blocks from a stack of (n+1) x (n+1) position matrices: plain slices."""
+    n = P.shape[-1] - 1
+    return lambda i0, i1, c0, ts: (P[ts, i0:i1, c0:n], P[ts, i0 + 1 : i1 + 1, c0 + 1 :])
+
+
+class _RowSummaries:
+    """One tour's kernel rows, summarized per row across the steps of its descent.
+
+    P holds the tour's position matrix, with a leading tour axis of one.
+    Row i of the kernel (see _scan) has the summary cnt[i], the number of its
+    pairs with gain > eps, and, under the best pivot, top[i], its largest
+    gain: exact while cnt[i] > 0, and <= eps otherwise.  A row whose
+    summary is not known is invalid.  ``pick`` refreshes the invalid rows it
+    needs with the kernel and picks what _scan would pick, bit for bit.
+    ``reverse`` applies a change and invalidates or adjusts only the rows
+    whose gains it can move.
+    """
+
+    def __init__(self, P: np.ndarray, pivot: str, eps: float):
+        self.P, self.pivot, self.eps = P, pivot, eps
+        self.el = P.diagonal(1, axis1=1, axis2=2)
+        self.dists = _matrix_dists(P)
+        n = self.el.shape[1]
+        self.cnt = np.zeros(n - 2, dtype=np.int64)
+        self.top = np.full(n - 2, -np.inf)
+        self.valid = np.zeros(n - 2, dtype=bool)
+        # a tour whose pairs fit in one kernel block is scanned whole at every step
+        self.whole = n * (n - 3) // 2 <= _SCAN_BLOCK
+
+    def _block(self, shape):
+        """Arrays for a block of gains and of gains > eps, as views of buffers of
+        one size, max(_SCAN_BLOCK, n) entries: the allocator then reuses the same
+        memory for every block of the run, whatever its shape."""
+        size, count = max(_SCAN_BLOCK, self.el.shape[1]), math.prod(shape)
+        gains, hits = np.empty(size), np.empty(size, dtype=bool)
+        return gains[:count].reshape(shape), hits[:count].reshape(shape)
+
+    def _refresh(self, i0: int, i1: int) -> None:
+        n = self.el.shape[1]
+        g, h = self._block((1, i1 - i0, n - i0 - 2))
+        g = _gains(self.el, self.dists, i0, i1, slice(None), out=g)[0]
+        self.cnt[i0:i1] = np.count_nonzero(np.greater(g, self.eps, out=h[0]), axis=1)
+        if self.pivot == "best":
+            self.top[i0:i1] = g.max(axis=1)
+        self.valid[i0:i1] = True
+
+    def _columns(self, r0: int, lo: int, hi: int):
+        """The summaries of rows r0..lo-1 over the columns lo..hi-1 alone: (cnt, top).
+
+        The block is read transposed, one column of gains per row, so that it
+        reduces over its short axis.  P is symmetric and _gain's first sum
+        commutes, so every gain keeps the kernel's bits.
+        """
+        n, w = self.el.shape[1], hi - lo
+        e, P, eps, best = self.el[0], self.P[0], self.eps, self.pivot == "best"
+        cnt = np.empty(lo - r0, dtype=np.int64)
+        top = np.empty(lo - r0) if best else None
+        step = max(1, _SCAN_BLOCK // w)
+        for a in range(r0, lo, step):
+            b = min(a + step, lo)
+            g, h = self._block((w, b - a))
+            _gain(e[lo:hi, None], e[a:b], P[lo:hi, a:b], P[lo + 1 : hi + 1, a + 1 : b + 1], out=g)
+            if b == lo:
+                g[0, -1] = -np.inf  # (lo-1, lo) is adjacent
+            if a == 0 and hi == n:
+                g[-1, 0] = -np.inf  # so is the closed tour's (0, n-1)
+            cnt[a - r0 : b - r0] = np.count_nonzero(np.greater(g, eps, out=h), axis=0)
+            if best:
+                top[a - r0 : b - r0] = g.max(axis=0)
+        return cnt, top
+
+    def pick(self, rng) -> tuple[int, int, float] | None:
+        """The pair (i, j, gain) _scan picks on the tour now, or None."""
+        if self.whole:
+            return _scan(self.pivot, self.eps, self.el, self.dists, rngs=(rng,))[0]
+        cnt, valid, eps = self.cnt, self.valid, self.eps
+        rows, first = cnt.size, self.pivot == "first"
+        # first refreshes in order up to its first improving row, in doubling
+        # blocks as _scan's first pass does; best and random refresh every row
+        budget = _SCAN_FIRST if first else _SCAN_BLOCK
+        k = 0
+        while k < rows:
+            todo = ~valid[k:]
+            if first:
+                todo |= cnt[k:] > 0
+            at = int(todo.argmax())
+            if not todo[at]:
+                k = rows
+                break
+            k += at
+            if valid[k]:
+                break
+            cols = rows - k
+            k1 = k + max(1, min(cols, budget // cols))
+            k1 = k + (int(valid[k:k1].argmax()) or k1 - k)  # stop at the next valid row
+            self._refresh(k, k1)
+            budget = min(2 * budget, _SCAN_BLOCK)
+        if first:
+            if k == rows:
+                return None
+            i = k
+        elif self.pivot == "best":
+            i = int(self.top.argmax())
+            if not self.top[i] > eps:
+                return None
+        else:
+            total = int(cnt.sum())
+            if total == 0:
+                return None
+            r = int(rng.integers(total))
+            cum = np.cumsum(cnt)
+            i = int(np.searchsorted(cum, r, side="right"))
+            r -= int(cum[i] - cnt[i])
+        g = _gains(self.el, self.dists, i, i + 1, slice(None))[0, 0]
+        if first:
+            c = int((g > eps).argmax())
+        elif self.pivot == "best":
+            c = int(g.argmax())
+        else:
+            c = int(np.flatnonzero(g > eps)[r])
+        return i, i + 2 + c, float(g[c])
+
+    def reverse(self, order: np.ndarray, i: int, j: int) -> tuple[int, int]:
+        """_reverse_segment of the tour and its matrix, with the summaries kept in step.
+
+        An inner reversal of positions i+1..j moves the edges lo..hi-1, lo = i,
+        hi = j+1: it invalidates rows lo..hi-1 and, in the rows below lo,
+        changes the columns lo..hi-1 only, while every other gain keeps its
+        bits (its entries of P did not move).  A row below lo without
+        improving pairs takes the summary of its new columns.  One with
+        improving pairs is invalidated under first; under best and random
+        its old columns, taken before the flip, are traded for the new ones,
+        and under best a row whose largest gain sat in those columns and is
+        not matched by the new ones is invalidated.  The outer side, a change
+        touching more than half the pairs and a tour in one kernel block
+        invalidate every row instead.
+        """
+        n = order.size
+        lo, hi = i, j + 1
+        w = hi - lo
+        cnt, top, valid = self.cnt, self.top, self.valid
+        if self.whole or 2 * (j - i) > n or 2 * w * (2 * n - w - 3) > n * (n - 3):
+            valid[:] = False
+            return _reverse_segment(order, i, j, self.P[0])
+        valid[lo:hi] = False
+        if lo == 0:
+            return _reverse_segment(order, i, j, self.P[0])
+        hit = cnt[:lo] > 0
+        r0 = int(hit.argmax())
+        keep = self.pivot != "first" and hit[r0]
+        if keep:
+            old_cnt, old_top = self._columns(r0, lo, hi)
+        else:
+            valid[:lo] &= ~hit
+        added = _reverse_segment(order, i, j, self.P[0])
+        new_cnt, new_top = self._columns(0, lo, hi)
+        if keep:
+            cnt[r0:lo] -= old_cnt
+        cnt[:lo] = np.where(hit, cnt[:lo], 0) + new_cnt
+        if self.pivot == "best":
+            if keep:
+                t = top[r0:lo]
+                valid[r0:lo] &= ~(hit[r0:] & (old_top == t) & (new_top[r0:] < t))
+            top[:lo] = np.where(hit, np.maximum(top[:lo], new_top), new_top)
+        return added
+
+
 def _descend(P: np.ndarray, orders: np.ndarray, pivot: str, eps: float, rngs,
              max_iter: int | None = None, keep_changes: bool = False) -> list[dict]:
     """2-opt to local optimality on a batch of tours in lockstep.
 
     Tour t has the order orders[t], its position matrix P[t] and the
-    generator rngs[t] for random-pivot draws.  Each step scans every live
-    tour, retires those with no pair of gain > eps (converged) or with
-    max_iter changes applied, and applies its picked change to each of the
-    others.  A batch of one reverses its order and matrix in place; a larger
-    batch moves every tour's order and matrix with one gather, which also
-    drops the retired tours.  Returns, per tour, the RunRecord fields its
-    descent sets, by name.  Raises ValueError when a change would undo the
-    one before it, which only rounding can make look improving at this eps.
+    generator rngs[t] for random-pivot draws.  Each step picks a pair on
+    every live tour, retires those with no pair of gain > eps (converged) or
+    with max_iter changes applied, and applies its picked change to each of
+    the others.  A batch of one picks from its row summaries and reverses its
+    order and matrix in place (see _RowSummaries); a larger batch scans
+    every pair with _scan and moves every tour's order and matrix with one
+    gather, which also drops the retired tours.  Returns, per tour, the
+    RunRecord fields its descent sets, by name.  Raises ValueError when a
+    change would undo the one before it, which only rounding can make look
+    improving at this eps.
     """
     tours, n = orders.shape
     runs: list = [None] * tours
@@ -741,10 +925,12 @@ def _descend(P: np.ndarray, orders: np.ndarray, pivot: str, eps: float, rngs,
     undo: list = [None] * tours  # the positions of the edges each tour's last change added
     live = list(range(tours))
     el = P.diagonal(1, axis1=1, axis2=2)
+    summary = _RowSummaries(P, pivot, eps) if tours == 1 else None
     while live:
-        hits = _scan(pivot, eps, el,
-                     lambda i0, i1, c0, ts: (P[ts, i0:i1, c0:n], P[ts, i0 + 1 : i1 + 1, c0 + 1 :]),
-                     rngs=[rngs[t] for t in live])
+        if summary is not None:
+            hits = [summary.pick(rngs[0])]
+        else:
+            hits = _scan(pivot, eps, el, _matrix_dists(P), rngs=[rngs[t] for t in live])
         moves = []
         for row, (t, hit) in enumerate(zip(live, hits)):
             if hit is None or (max_iter is not None and iterations[t] >= max_iter):
@@ -770,9 +956,9 @@ def _descend(P: np.ndarray, orders: np.ndarray, pivot: str, eps: float, rngs,
             min_gain[t] = gain if min_gain[t] is None else min(min_gain[t], gain)
             moves.append((row, i, j))
         live = [live[row] for row, _, _ in moves]
-        if len(live) == 1 and P.shape[0] == 1:
+        if summary is not None and live:
             _, i, j = moves[0]
-            undo[live[0]] = _reverse_segment(orders[0], i, j, P[0])
+            undo[0] = summary.reverse(orders[0], i, j)
         elif live:
             rows, i, j = (np.array(v) for v in zip(*moves))
             perm, added = _reversals(n, i, j)
@@ -800,8 +986,9 @@ def run_two_opt(
 
     One RNG (seeded with ``seed``) drives both the random initial tour and
     the random pivot, so a record is reproducible from its parameters.  The
-    run ends when a full scan finds no pair with gain > eps (converged=True)
-    or when max_iter changes have been applied (converged=False).  It raises
+    run ends converged (converged=True) when every row summary of the tour
+    is known and none holds a gain > eps, so no pair improves, or when
+    max_iter changes have been applied (converged=False).  It raises
     ValueError when a change would undo the one before it, which only
     rounding can make look improving at this eps.  The run is the engine's
     runner over one seed: a batch of one tour of the descent.

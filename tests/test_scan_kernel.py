@@ -5,12 +5,18 @@ and the layered path 2-opt -- runs through one blocked kernel.  These tests
 replay a seeded corpus through both and require identical (i, j, gain)
 sequences, identical certifier verdicts and identical tours, bit for bit,
 at the kernel's block sizes and at tiny ones that split small instances
-into many blocks.  The engine's position matrix must follow every applied
-change exactly, and a run must hold no more than one such matrix.  The
-coordinate scans evaluate only KD-tree ball candidates on sparse tours; forced
-onto that path and onto the blocked kernel, they must both match the
-reference loops and each other, random draws included, and the certifier's
-gain must be two_change_gain of its edges.  Coordinates whose distances
+into many blocks.  A run above one block keeps row summaries across its
+steps.  Its changes must be the reference loops' at the default block size
+(n = 260, with ties on a grid) and in tiny blocks at coordinates so large
+that the adjacent pairs' rounding residues exceed eps.  They must also be
+those of a batch of two, which moves by gathers and rescans every pair, and
+the undo guard must fire on that path too.  The engine's position matrix
+must follow every applied change exactly, and a run must hold no more than
+one such matrix, whatever its start and pivot.  The coordinate scans
+evaluate only KD-tree ball candidates on sparse tours; forced onto that
+path and onto the blocked kernel, they must both match the reference loops
+and each other, random draws included, and the certifier's gain must be
+two_change_gain of its edges.  Coordinates whose distances
 overflow are rejected at every entry point.  The layered
 padding path, the nearest-neighbour start and the MST share one walk over
 the live points' coordinate rows: the path must visit the points the old
@@ -44,6 +50,7 @@ import twoptlab.exact
 import twoptlab.tour
 from twoptlab import (
     Instance,
+    RunRecord,
     Tour,
     brute_force,
     build_layered,
@@ -122,6 +129,55 @@ def test_runs_match_reference_scans(metric, pivot, init):
 @pytest.mark.parametrize("metric,pivot,init", itertools.product(METRICS, PIVOTS, INITS))
 def test_runs_in_tiny_blocks_match_reference_scans(tiny_blocks, metric, pivot, init):
     _check_runs(metric, pivot, init)
+
+
+@pytest.mark.parametrize("pivot", PIVOTS)
+def test_large_coordinates_in_tiny_blocks_match_reference_scans(tiny_blocks, pivot):
+    # at 1e8 and 1e10 the gains of the adjacent pairs, rounding residues, can
+    # exceed eps, so a row summary must leave them out as the kernel does; the
+    # runs the undo guard stops are left out
+    compared = 0
+    for scale, metric, seed, n in itertools.product((1e8, 1e10), METRICS, range(6), (12, 30)):
+        pts = scale * perturb(make_origins("uniform", n, 2, seed), 0.3, seed).points
+        try:
+            rec = run_two_opt(pts, metric, pivot=pivot, seed=seed, max_iter=3000)
+        except ValueError:
+            continue
+        changes, final_order = scan_oracle.run_two_opt(pts, metric, "random", pivot, 1e-12, seed)
+        assert rec.changes == changes, (scale, metric, seed, n)
+        assert rec.final_order == [int(v) for v in final_order], (scale, metric, seed, n)
+        compared += 1
+    assert compared >= 60
+
+
+def test_tiny_blocks_keep_row_summaries_from_n8(tiny_blocks):
+    # a tour whose pairs fit in one 16-gain block is scanned whole at every
+    # step; from n = 8 on the corpus runs keep summaries across steps
+    for n in SIZES:
+        P = np.zeros((1, n + 1, n + 1))
+        assert twoptlab.tour._RowSummaries(P, "first", 1e-12).whole == (n < 8), n
+
+
+# the pairs of a tour fit in one default block up to n = 257
+BIG = 260
+BIG_RUNS = [("l2", init, pivot) for init in ("nn", "random") for pivot in PIVOTS] + [
+    (metric, init, "best") for metric in ("l1", "l2sq") for init in ("nn", "random")]
+
+
+@pytest.mark.parametrize("layout", ["uniform", "grid"])
+@pytest.mark.parametrize("metric,init,pivot", BIG_RUNS)
+def test_runs_above_one_block_match_reference_scans(layout, metric, init, pivot):
+    # at the default block size the runs keep row summaries across steps; on
+    # the grid many gains tie, so the earliest pair among equal gains counts
+    assert BIG * (BIG - 3) // 2 > twoptlab.tour._SCAN_BLOCK
+    if layout == "grid":
+        pts = make_origins("grid", BIG, 2, 3)
+    else:
+        pts = perturb(make_origins("uniform", BIG, 2, 3), 0.3, 3).points
+    rec = run_two_opt(pts, metric, init=init, pivot=pivot, seed=3)
+    changes, final_order = scan_oracle.run_two_opt(pts, metric, init, pivot, 1e-12, 3)
+    assert rec.changes == changes
+    assert rec.final_order == [int(v) for v in final_order]
 
 
 def _check_find_improving(metric):
@@ -335,16 +391,19 @@ def test_batch_reversals_match_the_in_place_reversal(n):
 
 def test_run_holds_one_position_matrix():
     # the run's peak allocation: one (n+1) x (n+1) matrix plus bounded blocks
+    # and O(n) row summaries, whatever the start and the pivot; the changes
+    # of a random start (thousands) are not kept, so the peak is the engine's
     n = 600
     pts = make_origins("uniform", n, 2, 0)
     run_two_opt(pts[:20], "l2", init="nn")
-    tracemalloc.start()
-    try:
-        run_two_opt(pts, "l2", init="nn", pivot="first")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * 8 * (n + 1) ** 2
+    for init, pivot in itertools.product(("nn", "random"), PIVOTS):
+        tracemalloc.start()
+        try:
+            run_two_opt(pts, "l2", init=init, pivot=pivot, keep_changes=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * (n + 1) ** 2, (init, pivot)
 
 
 @pytest.mark.parametrize("metric", METRICS)
@@ -635,6 +694,44 @@ def test_runner_batch_matches_one_run_per_seed(init, pivot):
                     == [rec.to_json(include_changes=True) for rec in want]), (n, metric)
 
 
+@pytest.mark.parametrize("init,pivot", itertools.product(INITS, PIVOTS))
+def test_in_place_runs_match_the_gather_path(monkeypatch, init, pivot):
+    # a batch of two moves its matrices by gathers and scans every pair at
+    # every step; one tour alone keeps row summaries across its in-place
+    # steps.  The records must agree byte for byte, and the hook sees both
+    # ways a step refreshes every row although all were known: an outer
+    # reversal, and an inner one touching more than half the pairs
+    reverse = twoptlab.tour._RowSummaries.reverse
+    refreshed = collections.Counter()
+
+    def hooked(self, order, i, j):
+        known = self.valid.all()
+        added = reverse(self, order, i, j)
+        if known and not self.valid.any():
+            refreshed["outer" if 2 * (j - i) > order.size else "inner"] += 1
+        return added
+
+    monkeypatch.setattr(twoptlab.tour._RowSummaries, "reverse", hooked)
+    pts = perturb(make_origins("uniform", BIG, 2, 4), 0.3, 4).points
+    D = pairwise_distances(pts, "l2")
+    seeds = [4, 5]
+    for max_iter in (None, 5):
+        # each seed's generator draws its start, then its random-pivot picks
+        rngs = [np.random.default_rng(s) for s in seeds]
+        orders = np.array([initial_tour(pts, "l2", init, rng).order for rng in rngs])
+        ext = np.hstack((orders, orders[:, :1]))
+        runs = twoptlab.tour._descend(D[ext[:, :, None], ext[:, None, :]], orders, pivot,
+                                      1e-12, rngs, max_iter, keep_changes=True)
+        for seed, run in zip(seeds, runs):
+            rec = run_two_opt(pts, "l2", init, pivot, seed=seed, max_iter=max_iter)
+            got = RunRecord(seed=seed, metric="l2", pivot=pivot, init=rec.init, n=BIG,
+                            eps=1e-12, **run)
+            same = got.to_json(include_changes=True) == rec.to_json(include_changes=True)
+            assert same, (seed, max_iter)
+    if init == "random" and pivot != "first":
+        assert refreshed["outer"] and refreshed["inner"], refreshed
+
+
 def test_estimate_holds_one_position_matrix():
     # one restart at n = 300: its (n+1) x (n+1) matrix plus bounded blocks,
     # and no n x n distance matrix beside it
@@ -659,6 +756,16 @@ def test_undo_guard_raises_inside_a_batch():
     for estimate in (estimate_two_opt_max, scan_oracle.estimate_two_opt_max):
         with pytest.raises(ValueError, match="undoes the previous change"):
             estimate(pts, "l1", 20, "first", 1e-12, 1)
+
+
+@pytest.mark.parametrize("n,seed,pivot", [(12, 2, "first"), (30, 4, "best")])
+def test_undo_guard_raises_on_a_single_tour(tiny_blocks, n, seed, pivot):
+    # at 1e8 the l1 gains of a 2-change and of its inverse are both rounding
+    # residues above eps; in 16-gain blocks the run keeps row summaries
+    assert not twoptlab.tour._RowSummaries(np.zeros((1, n + 1, n + 1)), pivot, 1e-12).whole
+    pts = 1e8 * perturb(make_origins("uniform", n, 2, seed), 0.3, seed).points
+    with pytest.raises(ValueError, match="undoes the previous change"):
+        run_two_opt(pts, "l1", pivot=pivot, seed=seed, max_iter=3000)
 
 
 def test_ratio_csv_matches_the_reference_estimate(monkeypatch, tmp_path):
