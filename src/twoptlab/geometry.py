@@ -187,12 +187,9 @@ def two_change_gain(x1, x2, x3, x4, metric: Metric | str = Metric.EUCLIDEAN) -> 
                        distance(x1, x3, m), distance(x2, x4, m)))
 
 
-def _gain(el_i, el_j, d13, d24, out=None):
-    """Gain (el_i + el_j) - d13 - d24, left to right: the only code combining its terms.
-
-    ``out``, if given, is an array of the result's shape to compute into.
-    """
-    g = np.add(el_i, el_j, out=out)
+def _gain(el_i, el_j, d13, d24):
+    """Gain (el_i + el_j) - d13 - d24, left to right: the only code combining its terms."""
+    g = np.add(el_i, el_j)
     g -= d13
     g -= d24
     return g

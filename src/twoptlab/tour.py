@@ -517,14 +517,12 @@ def _scan(pivot: str, eps: float, el: np.ndarray, dists,
                  lambda block, ts: _gains(el, dists, *block, ts, closed), pair, rngs)
 
 
-def _gains(el: np.ndarray, dists, i0: int, i1: int, ts, closed: bool = True,
-           out: np.ndarray | None = None) -> np.ndarray:
+def _gains(el: np.ndarray, dists, i0: int, i1: int, ts, closed: bool = True) -> np.ndarray:
     """_scan's kernel block of rows i0..i1-1 (columns i0+2..) for the tours ts,
-    tour axis first, with -inf where a row has no pair; computed into ``out``
-    if given."""
+    tour axis first, with -inf where a row has no pair."""
     c0 = i0 + 2
     e = el[ts]
-    g = _gain(e[:, i0:i1, None], e[:, None, c0:], *dists(i0, i1, c0, ts), out=out)
+    g = _gain(e[:, i0:i1, None], e[:, None, c0:], *dists(i0, i1, c0, ts))
     rows = i1 - i0
     np.copyto(g[:, :, :rows], -np.inf, where=_BELOW[:rows, :rows])
     if closed and i0 == 0:
@@ -760,22 +758,17 @@ class _RowSummaries:
         self.cnt = np.zeros(n - 2, dtype=np.int64)
         self.top = np.full(n - 2, -np.inf)
         self.valid = np.zeros(n - 2, dtype=bool)
-        # a tour whose pairs fit in one kernel block is scanned whole at every step
+        # a tour whose pairs fit in one kernel block is scanned whole at every
+        # step: there the summaries' extra numpy calls cost more than they save
+        # (on a 2-CPU machine, 1.1-1.8x the full scan's run time at n <= 50
+        # for every pivot and start; the random pivot gains from n = 100, the
+        # first from about n = 150-200, and the best pivot from a random start
+        # still loses 27 % at n = 250)
         self.whole = n * (n - 3) // 2 <= _SCAN_BLOCK
 
-    def _block(self, shape):
-        """Arrays for a block of gains and of gains > eps, as views of buffers of
-        one size, max(_SCAN_BLOCK, n) entries: the allocator then reuses the same
-        memory for every block of the run, whatever its shape."""
-        size, count = max(_SCAN_BLOCK, self.el.shape[1]), math.prod(shape)
-        gains, hits = np.empty(size), np.empty(size, dtype=bool)
-        return gains[:count].reshape(shape), hits[:count].reshape(shape)
-
     def _refresh(self, i0: int, i1: int) -> None:
-        n = self.el.shape[1]
-        g, h = self._block((1, i1 - i0, n - i0 - 2))
-        g = _gains(self.el, self.dists, i0, i1, slice(None), out=g)[0]
-        self.cnt[i0:i1] = np.count_nonzero(np.greater(g, self.eps, out=h[0]), axis=1)
+        g = _gains(self.el, self.dists, i0, i1, slice(None))[0]
+        self.cnt[i0:i1] = np.count_nonzero(g > self.eps, axis=1)
         if self.pivot == "best":
             self.top[i0:i1] = g.max(axis=1)
         self.valid[i0:i1] = True
@@ -794,13 +787,12 @@ class _RowSummaries:
         step = max(1, _SCAN_BLOCK // w)
         for a in range(r0, lo, step):
             b = min(a + step, lo)
-            g, h = self._block((w, b - a))
-            _gain(e[lo:hi, None], e[a:b], P[lo:hi, a:b], P[lo + 1 : hi + 1, a + 1 : b + 1], out=g)
+            g = _gain(e[lo:hi, None], e[a:b], P[lo:hi, a:b], P[lo + 1 : hi + 1, a + 1 : b + 1])
             if b == lo:
                 g[0, -1] = -np.inf  # (lo-1, lo) is adjacent
             if a == 0 and hi == n:
                 g[-1, 0] = -np.inf  # so is the closed tour's (0, n-1)
-            cnt[a - r0 : b - r0] = np.count_nonzero(np.greater(g, eps, out=h), axis=0)
+            cnt[a - r0 : b - r0] = np.count_nonzero(g > eps, axis=0)
             if best:
                 top[a - r0 : b - r0] = g.max(axis=0)
         return cnt, top
@@ -863,13 +855,13 @@ class _RowSummaries:
         hi = j+1: it invalidates rows lo..hi-1 and, in the rows below lo,
         changes the columns lo..hi-1 only, while every other gain keeps its
         bits (its entries of P did not move).  A row below lo without
-        improving pairs takes the summary of its new columns.  One with
-        improving pairs is invalidated under first; under best and random
-        its old columns, taken before the flip, are traded for the new ones,
-        and under best a row whose largest gain sat in those columns and is
-        not matched by the new ones is invalidated.  The outer side, a change
-        touching more than half the pairs and a tour in one kernel block
-        invalidate every row instead.
+        improving pairs takes the summary of its new columns; under first
+        every row below the picked one is such a row.  One with improving
+        pairs, under best and random, trades its old columns, taken before
+        the flip, for the new ones, and under best a row whose largest gain
+        sat in those columns and is not matched by the new ones is
+        invalidated.  The outer side, a change touching more than half the
+        pairs and a tour in one kernel block invalidate every row instead.
         """
         n = order.size
         lo, hi = i, j + 1
@@ -883,16 +875,14 @@ class _RowSummaries:
             return _reverse_segment(order, i, j, self.P[0])
         hit = cnt[:lo] > 0
         r0 = int(hit.argmax())
-        keep = self.pivot != "first" and hit[r0]
+        keep = bool(hit[r0])
         if keep:
             old_cnt, old_top = self._columns(r0, lo, hi)
-        else:
-            valid[:lo] &= ~hit
         added = _reverse_segment(order, i, j, self.P[0])
         new_cnt, new_top = self._columns(0, lo, hi)
         if keep:
             cnt[r0:lo] -= old_cnt
-        cnt[:lo] = np.where(hit, cnt[:lo], 0) + new_cnt
+        cnt[:lo] += new_cnt
         if self.pivot == "best":
             if keep:
                 t = top[r0:lo]

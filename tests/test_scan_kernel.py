@@ -390,16 +390,16 @@ def test_batch_reversals_match_the_in_place_reversal(n):
 
 
 def test_run_holds_one_position_matrix():
-    # the run's peak allocation: one (n+1) x (n+1) matrix plus bounded blocks
-    # and O(n) row summaries, whatever the start and the pivot; the changes
-    # of a random start (thousands) are not kept, so the peak is the engine's
+    # the run's peak allocation: one (n+1) x (n+1) matrix plus bounded blocks,
+    # O(n) row summaries and the record's changes, whatever the pivot; the
+    # thousands of changes of a random start are record payload, not kept here
     n = 600
     pts = make_origins("uniform", n, 2, 0)
     run_two_opt(pts[:20], "l2", init="nn")
     for init, pivot in itertools.product(("nn", "random"), PIVOTS):
         tracemalloc.start()
         try:
-            run_two_opt(pts, "l2", init=init, pivot=pivot, keep_changes=False)
+            run_two_opt(pts, "l2", init=init, pivot=pivot, keep_changes=init == "nn")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
