@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: gen, run, exact, ratio, lb (build / certify / ratio), verify,
-sweep, replay, plot-data.  Exit codes: 0 success, 1 validation error,
-2 assertion/verification failure, 3 I/O error.
+sweep, replay, plot-data.  Exit codes: 0 success, 1 validation error (or a
+sweep worker process that died), 2 assertion/verification failure, 3 I/O
+error.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from concurrent.futures import BrokenExecutor
 
 from .exact import brute_force, held_karp, mst_length
 from .geometry import Metric
@@ -322,7 +324,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="run a sweep config into a CSV")
     p.add_argument("--config", required=True)
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads (default 1)")
+                   help="worker processes (default 1)")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(handler=_cmd_sweep)
 
@@ -344,7 +346,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except ValueError as exc:
+    except (ValueError, BrokenExecutor) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except VerificationError as exc:

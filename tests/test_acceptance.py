@@ -311,12 +311,15 @@ def test_criterion_10_sweep_determinism(capsys, tmp_path):
         "base_seed = 9\n"
         "linked = true\n"
     )
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_csv(run_sweep(parse_config(cfg_text), threads=4), str(p1), ROW_COLUMNS)
-    write_csv(run_sweep(parse_config(cfg_text), threads=2), str(p2), ROW_COLUMNS)
-    b1, b2 = p1.read_bytes(), p2.read_bytes()
+    # width 1 computes the rows in the caller, wider sweeps in worker processes
+    blobs = []
+    for width in (1, 2, 4):
+        path = tmp_path / f"width{width}.csv"
+        write_csv(run_sweep(parse_config(cfg_text), threads=width), str(path), ROW_COLUMNS)
+        blobs.append(path.read_bytes())
     elapsed = time.perf_counter() - t0
-    ok = b1 == b2 and len(b1.splitlines()) == 1 + 36
+    b1 = blobs[0]
+    ok = blobs.count(b1) == 3 and len(b1.splitlines()) == 1 + 36
     _report(capsys, 10, "sweep determinism", ok,
-            f"{len(b1)} bytes, identical across runs and thread widths, {elapsed:.1f}s")
+            f"{len(b1)} bytes, identical across runs and widths 1, 2, 4, {elapsed:.1f}s")
     assert ok

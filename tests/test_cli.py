@@ -12,6 +12,7 @@ import pytest
 
 import test_lower_bound
 import twoptlab
+from twoptlab import harness
 from twoptlab.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, EXIT_VERIFICATION, main
 from twoptlab.harness import RATIO_COLUMNS, ROW_COLUMNS
 
@@ -456,6 +457,31 @@ def test_sweep_rejects_threads_below_one(tmp_path, threads):
     out = tmp_path / "x.csv"
     assert run_cli("sweep", "--config", str(cfg_path), "--threads", threads,
                    "-o", str(out)) == EXIT_VALIDATION
+    assert not out.exists()
+
+
+def _row_raises(*args):
+    raise ValueError("row failed in a worker")
+
+
+def _row_kills_worker(*args):
+    os._exit(1)
+
+
+@pytest.mark.parametrize("row, message", [
+    (_row_raises, "error: row failed in a worker\n"),
+    (_row_kills_worker, "error: "),
+])
+def test_sweep_worker_failure_exits_one(tmp_path, capsys, monkeypatch, row, message):
+    monkeypatch.setattr(harness, "_two_opt_row", row)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    cfg_path = tmp_path / "sweep.cfg"
+    cfg_path.write_text(SWEEP_CONFIG)
+    out = tmp_path / "x.csv"
+    assert run_cli("sweep", "--config", str(cfg_path), "--threads", "2",
+                   "-o", str(out)) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -1,7 +1,9 @@
 """Sweep configs, deterministic execution, CSV output, fits, verify suites."""
 
+import concurrent.futures
 import math
 import os
+import threading
 import time
 
 import numpy as np
@@ -198,6 +200,8 @@ def test_run_sweep_grid_shape_and_ratios():
 def test_run_sweep_thread_width_invariance():
     cfg = _small_cfg()
     assert run_sweep(cfg, threads=1) == run_sweep(cfg, threads=4)
+    lb = SweepConfig(experiment="lb", p=3, t=1, sigma=(1e-4,), seeds=2)
+    assert run_sweep(lb, threads=1) == run_sweep(lb, threads=2)
 
 
 def test_run_sweep_csv_byte_identical(tmp_path):
@@ -221,35 +225,127 @@ def test_replay_row_matches_sweep():
         replay_row(cfg, -1)
 
 
-def test_run_sweep_stops_at_first_failure(monkeypatch):
-    # one failing task cancels the queue instead of waiting for every row
-    started = []
-
+def test_run_sweep_stops_at_first_failure(monkeypatch, tmp_path):
+    # one failing task cancels the queue instead of waiting for every row;
+    # the rows run in worker processes, so each leaves a marker file
     def row(cfg, conf, config_index, seed_index):
-        started.append((config_index, seed_index))
-        if (config_index, seed_index) == (0, 0):
+        (tmp_path / f"started-{seed_index}").touch()
+        if seed_index == 0:
             raise RuntimeError("row 0 failed")
         time.sleep(0.05)
         return {}
 
     monkeypatch.setattr(harness, "_two_opt_row", row)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     with pytest.raises(RuntimeError, match="row 0 failed"):
         run_sweep(SweepConfig(n=(8,), sigma=(0.1,), seeds=50), threads=2)
-    assert len(started) < 50
+    started = list(tmp_path.glob("started-*"))
+    assert 1 <= len(started) < 50
 
 
 def test_run_sweep_default_is_one_worker(monkeypatch):
+    # the default width computes every row in the caller's process; a wider
+    # sweep forks min(width, rows, usable CPUs) workers
     widths = []
-    real_pool = harness.concurrent.futures.ThreadPoolExecutor
+    real_pool = concurrent.futures.ProcessPoolExecutor
 
-    def pool(max_workers):
+    def pool(max_workers, mp_context):
         widths.append(max_workers)
-        return real_pool(max_workers=max_workers)
+        return real_pool(max_workers=max_workers, mp_context=mp_context)
 
-    monkeypatch.setattr(harness.concurrent.futures, "ThreadPoolExecutor", pool)
-    run_sweep(SweepConfig(n=(6,), sigma=(0.1,), seeds=2))
-    run_sweep(SweepConfig(n=(6,), sigma=(0.1,), seeds=2), threads=3)
-    assert widths == [1, 3]
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(harness, "_two_opt_row", lambda *args: {"pid": os.getpid()})
+    cfg = SweepConfig(n=(6,), sigma=(0.1,), seeds=4)
+    assert {r["pid"] for r in run_sweep(cfg)} == {os.getpid()}
+    assert widths == []
+    pids = {r["pid"] for r in run_sweep(cfg, threads=3)}
+    expected = min(3, 4, len(os.sched_getaffinity(0)))
+    if expected > 1:
+        assert widths == [expected]
+        assert os.getpid() not in pids
+    else:
+        assert widths == [] and pids == {os.getpid()}
+
+
+def test_run_sweep_caps_worker_count(monkeypatch):
+    # a fork pool starts all its workers at once, so the width is capped by
+    # the rows and the usable CPUs; this stand-in pool records the ask and
+    # runs nothing
+    asked = []
+
+    class NoPool(Exception):
+        pass
+
+    def pool(max_workers, mp_context):
+        asked.append(max_workers)
+        raise NoPool
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    two_rows = SweepConfig(n=(6,), sigma=(0.1,), seeds=2)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 64)
+    with pytest.raises(NoPool):
+        run_sweep(two_rows, threads=10**6)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
+    with pytest.raises(NoPool):
+        run_sweep(SweepConfig(n=(6,), sigma=(0.1,), seeds=20), threads=10**6)
+    # one usable CPU: the rows run in the caller, no pool is asked for
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    assert len(run_sweep(two_rows, threads=10**6)) == 2
+    assert asked == [2, 3]
+
+
+def test_run_sweep_largest_rows_first(monkeypatch):
+    # two_opt rows go to the workers by descending n, lb rows in canonical
+    # order; either way rows come back in row_id order
+    submitted = []
+    real_pool = concurrent.futures.ProcessPoolExecutor
+
+    class Pool(real_pool):
+        def submit(self, fn, *args):
+            submitted.append(args[0])
+            return super().submit(fn, *args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(harness, "_two_opt_row", lambda cfg, conf, ci, si: {"n": conf["n"]})
+    monkeypatch.setattr(harness, "_lb_row", lambda cfg, conf, ci, si: {})
+    rows = run_sweep(SweepConfig(n=(4, 9, 6), sigma=(0.1,), seeds=2), threads=2)
+    assert [r["row_id"] for r in rows] == list(range(6))
+    assert [r["n"] for r in rows] == [4, 4, 9, 9, 6, 6]
+    assert submitted == [2, 3, 4, 5, 0, 1]
+    submitted.clear()
+    lb = SweepConfig(experiment="lb", p=3, sigma=(1e-4, 1e-5), seeds=2)
+    assert [r["row_id"] for r in run_sweep(lb, threads=2)] == list(range(4))
+    assert submitted == [0, 1, 2, 3]
+
+
+def test_run_sweep_worker_errors_reach_the_caller(monkeypatch):
+    # an exception keeps its type and message across the process boundary,
+    # and a worker that dies fails the sweep instead of hanging it
+    def row(cfg, conf, config_index, seed_index):
+        if seed_index == 1:
+            raise ValueError("row 1 failed")
+        return {}
+
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    cfg = SweepConfig(n=(6,), sigma=(0.1,), seeds=4)
+    monkeypatch.setattr(harness, "_two_opt_row", row)
+    with pytest.raises(ValueError, match="^row 1 failed$"):
+        run_sweep(cfg, threads=2)
+    monkeypatch.setattr(harness, "_two_opt_row", lambda *args: os._exit(1))
+    caught = []
+
+    def sweep():
+        try:
+            run_sweep(cfg, threads=2)
+        except concurrent.futures.BrokenExecutor as exc:
+            caught.append(exc)
+
+    caller = threading.Thread(target=sweep, daemon=True)
+    caller.start()
+    caller.join(timeout=60.0)
+    assert not caller.is_alive()
+    assert len(caught) == 1
 
 
 def test_run_sweep_ignores_thread_env_var(monkeypatch):
