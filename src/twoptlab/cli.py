@@ -13,7 +13,7 @@ import json
 import sys
 from concurrent.futures import BrokenExecutor
 
-from .exact import brute_force, held_karp, mst_length
+from .exact import brute_force, held_karp
 from .geometry import Metric
 from .harness import (
     RATIO_COLUMNS,
@@ -28,14 +28,9 @@ from .harness import (
     verify_suite,
     write_csv,
 )
-from .layered import (
-    LayeredInstance,
-    build_layered,
-    build_long_tour,
-    check_containers,
-)
+from .layered import LayeredInstance, _certificate, build_layered
 from .stochastic import ORIGIN_RULES, Instance, _json_array, make_origins, perturb
-from .tour import _INIT_RULES, PIVOTS, certify_two_optimality, run_two_opt, tour_length
+from .tour import _INIT_RULES, PIVOTS, run_two_opt
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -153,17 +148,9 @@ def _cmd_lb_build(args) -> int:
 
 
 def _cmd_lb_certify(args) -> int:
-    li, inst = _load_layered(args.instance)
-    tour = build_long_tour(li, inst)
-    ok, worst = check_containers(li, inst)
-    violation = certify_two_optimality(inst.points, tour, Metric.EUCLIDEAN, args.eps)
-    payload = {
-        "certified": violation is None,
-        "eps": args.eps,
-        "tour_length": tour_length(tour, inst.points, Metric.EUCLIDEAN),
-        "container_ok": ok,
-        "worst_offset_ratio": worst,
-    }
+    fields, violation = _certificate(*_load_layered(args.instance), args.eps)
+    payload = {"certified": fields["certified"], "eps": args.eps}
+    payload.update((key, fields[key]) for key in ("tour_length", "container_ok", "worst_offset_ratio"))
     if violation is not None:
         payload["max_violation_gain"] = violation.gain
         payload["violation_removed"] = [list(e) for e in violation.removed]
@@ -173,15 +160,8 @@ def _cmd_lb_certify(args) -> int:
 
 
 def _cmd_lb_ratio(args) -> int:
-    li, inst = _load_layered(args.instance)
-    tour = build_long_tour(li, inst)
-    length = tour_length(tour, inst.points, Metric.EUCLIDEAN)
-    mst2 = 2.0 * mst_length(inst.points, Metric.EUCLIDEAN)
-    payload = {
-        "tour_length": length,
-        "mst2": mst2,
-        "ratio_lb": length / mst2,
-    }
+    fields, _ = _certificate(*_load_layered(args.instance))
+    payload = {key: fields[key] for key in ("tour_length", "mst2", "ratio_lb")}
     _emit(json.dumps(payload), args.output)
     return EXIT_OK
 

@@ -8,9 +8,9 @@ vertex joins the tree, its distance row is computed from coordinates
 against the vertices not yet in the tree only, so a join costs O(live), and
 the tree takes O(n) memory and no n x n matrix.  It runs on the
 nearest-neighbour start's walk, ``tour._nn_walk``, and so shares its tie
-rule (smallest index).  Under any metric satisfying the triangle inequality
-MST <= TSP <= 2 MST, which powers the cheap approximation-ratio lower bound
-used on instances too large to solve.
+rule (smallest index).  Under the triangle inequality (l1 and l2, not l2sq)
+MST <= TSP <= 2 MST bounds the optimum of instances too large to solve;
+only ``_upper_bound`` and ``_ratio`` apply it, never against a zero optimum.
 
 ``estimate_two_opt_max`` approximates the *worst* 2-optimal tour length by
 restarting the engine from many random tours and keeping the maximum; its
@@ -179,6 +179,18 @@ def mst_length(inst_or_points, metric: Metric | str = Metric.EUCLIDEAN) -> float
     for w in keys:
         total += w
     return total
+
+
+def _upper_bound(points, metric: Metric | str) -> float | None:
+    """2 MST, which bounds the optimal tour from above; None under l2sq."""
+    if Metric.parse(metric) is Metric.SQ_EUCLIDEAN:
+        return None
+    return 2.0 * mst_length(points, metric)
+
+
+def _ratio(length: float, optimum: float | None) -> float | None:
+    """length / optimum; None without a bound or when it is 0."""
+    return length / optimum if optimum else None
 
 
 def estimate_two_opt_max(

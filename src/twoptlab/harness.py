@@ -33,9 +33,9 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 from scipy.integrate import quad
 
-from .exact import HELD_KARP_MAX_N, held_karp, mst_length, estimate_two_opt_max
+from .exact import HELD_KARP_MAX_N, _ratio, _upper_bound, estimate_two_opt_max, held_karp
 from .geometry import Metric
-from .layered import _sized_params, build_layered, build_long_tour, check_containers
+from .layered import _certificate, _sized_params, build_layered
 from .stochastic import (
     ORIGIN_RULES,
     _check_sigma,
@@ -53,12 +53,10 @@ from .tour import (
     _check_pivot,
     _check_stopping,
     _rule_token,
-    certify_two_optimality,
     count_disjoint_linked_pairs,
     linked_pair_bound,
     min_improvement,
     run_two_opt,
-    tour_length,
 )
 
 __all__ = [
@@ -289,13 +287,10 @@ def _two_opt_row(cfg: SweepConfig, conf: dict, config_index: int, seed_index: in
     mode = cfg.ratio
     if mode == "auto":
         mode = "exact" if n <= _RATIO_EXACT_MAX_N else "bound"
-    if mode == "exact":
-        opt = held_karp(inst, metric).length
-        row["ratio"] = rec.final_length / opt
-        row["ratio_kind"] = "exact"
-    elif mode == "bound":
-        row["ratio"] = rec.final_length / (2.0 * mst_length(inst, metric))
-        row["ratio_kind"] = "bound"
+    if mode != "none":
+        opt = held_karp(inst, metric).length if mode == "exact" else _upper_bound(inst.points, metric)
+        if (ratio := _ratio(rec.final_length, opt)) is not None:
+            row["ratio"], row["ratio_kind"] = ratio, mode
     dm_mode = cfg.delta_min
     if dm_mode == "always" or (dm_mode == "auto" and n <= _DELTA_MIN_AUTO_MAX_N):
         dm = min_improvement(inst, metric, cfg.eps)
@@ -312,21 +307,12 @@ def _two_opt_row(cfg: SweepConfig, conf: dict, config_index: int, seed_index: in
 def _lb_row(cfg: SweepConfig, conf: dict, config_index: int, seed_index: int) -> dict:
     seed = task_seed(cfg.base_seed, config_index, seed_index)
     li = build_layered(conf["p"], conf["sigma"], conf["t"])
-    inst = li.perturbed(seed)
-    tour = build_long_tour(li, inst)
-    ok, worst = check_containers(li, inst)
-    violation = certify_two_optimality(inst.points, tour, Metric.EUCLIDEAN, cfg.eps)
-    length = tour_length(tour, inst.points, Metric.EUCLIDEAN)
-    mst2 = 2.0 * mst_length(inst.points, Metric.EUCLIDEAN)
+    fields, _ = _certificate(li, li.perturbed(seed), cfg.eps)
     return {
         "experiment": "lb", "config_index": config_index,
         "seed_index": seed_index, "seed": seed, "n": li.n, "dim": 2,
         "sigma": li.params.sigma, "metric": "l2", "eps": cfg.eps,
-        "p": li.params.p, "t": li.params.t,
-        "container_ok": ok, "worst_offset_ratio": worst,
-        "certified": violation is None,
-        "max_violation_gain": None if violation is None else violation.gain,
-        "tour_length": length, "mst2": mst2, "ratio_lb": length / mst2,
+        "p": li.params.p, "t": li.params.t, **fields,
     }
 
 
@@ -525,7 +511,7 @@ def ratio_experiment(
                 "sigma": sigma, "metric": "l2", "pivot": pivot,
                 "init": "random", "origins": origins, "eps": eps,
                 "restarts": restarts, "two_opt_max": worst, "optimum": opt,
-                "ratio": worst / opt,
+                "ratio": _ratio(worst, opt),
             })
             row_id += 1
     return rows

@@ -48,10 +48,11 @@ from typing import IO
 
 import numpy as np
 
-from .exact import mst_length
+from .exact import _ratio, _upper_bound
 from .geometry import Metric, vec_dist
 from .stochastic import Instance, _check_sigma, _json_number, _json_object, perturb
-from .tour import Tour, _check_stopping, _coord_dists, _nn_walk, _scan, tour_length
+from .tour import Tour, Violation, _check_stopping, _coord_dists, _nn_walk, _scan
+from .tour import certify_two_optimality, tour_length
 
 __all__ = [
     "LayeredParams",
@@ -368,6 +369,26 @@ def check_containers(li: LayeredInstance, perturbed: Instance) -> tuple[bool, fl
     return worst <= 1.0, worst
 
 
+def _certificate(li: LayeredInstance, perturbed: Instance | None = None,
+                 eps: float = 1e-12) -> tuple[dict, Violation | None]:
+    """The lb row's seven measured fields for the designated tour, and the
+    certifier's Violation (None when certified), measured in the row's order."""
+    if perturbed is None:
+        perturbed = li.unperturbed()
+    pts = perturbed.points
+    tour = build_long_tour(li, perturbed)
+    ok, worst = check_containers(li, perturbed)
+    violation = certify_two_optimality(pts, tour, Metric.EUCLIDEAN, eps)
+    length = tour_length(tour, pts, Metric.EUCLIDEAN)
+    mst2 = _upper_bound(pts, Metric.EUCLIDEAN)
+    return {
+        "container_ok": ok, "worst_offset_ratio": worst,
+        "certified": violation is None,
+        "max_violation_gain": None if violation is None else violation.gain,
+        "tour_length": length, "mst2": mst2, "ratio_lb": _ratio(length, mst2),
+    }, violation
+
+
 def ratio_lower_bound(
     li: LayeredInstance,
     perturbed: Instance | None = None,
@@ -375,12 +396,10 @@ def ratio_lower_bound(
 ) -> float:
     """Certifiable lower bound on 2-opt's approximation ratio: L / (2 MST).
 
-    Euclidean lengths; 2 MST upper-bounds the optimal tour, so the value
-    lower-bounds (designated tour) / (optimal tour).
+    Euclidean lengths of ``tour``, by default the designated tour; 2 MST
+    upper-bounds the optimal tour, so the value lower-bounds L / OPT.
     """
-    if perturbed is None:
-        perturbed = li.unperturbed()
     if tour is None:
-        tour = build_long_tour(li, perturbed)
-    bound = 2.0 * mst_length(perturbed.points, Metric.EUCLIDEAN)
-    return tour_length(tour, perturbed.points, Metric.EUCLIDEAN) / bound
+        return _certificate(li, perturbed)[0]["ratio_lb"]
+    pts = (li.unperturbed() if perturbed is None else perturbed).points
+    return _ratio(tour_length(tour, pts, Metric.EUCLIDEAN), _upper_bound(pts, Metric.EUCLIDEAN))

@@ -284,6 +284,17 @@ def test_ratio_rejects_bad_arguments_by_name(tmp_path, capsys, flag, value, mess
     assert not out.exists()
 
 
+def test_ratio_with_a_zero_optimum_leaves_ratio_empty(tmp_path):
+    # at sigma = 0 all single-point origins coincide, so the optimum is 0
+    out = tmp_path / "r.csv"
+    assert run_cli("ratio", "--n", "6", "--sigma-grid", "0,0.1", "--origins", "single-point",
+                   "--seeds", "1", "--restarts", "2", "-o", str(out)) == EXIT_OK
+    zero, noisy = [dict(zip(RATIO_COLUMNS, line.split(",")))
+                   for line in out.read_text().splitlines()[1:]]
+    assert zero["optimum"] == "0.0" and zero["ratio"] == ""
+    assert float(noisy["ratio"]) >= 1.0 - 1e-9
+
+
 # ---------------------------------------------------------------------------
 # layered lower-bound tools
 
@@ -328,6 +339,37 @@ def test_lb_certify_failure_exits_2(tmp_path, capsys):
     assert payload["max_violation_gain"] == pytest.approx(0.0098611, rel=1e-4)
     assert len(payload["violation_removed"]) == 2
     assert len(payload["violation_added"]) == 2
+
+
+def _lb_commands(tmp_path, capsys, seed):
+    """`lb build --p 3 --t 1 --sigma 1e-4 --seed S`; its file, `lb certify` and `lb ratio` JSON."""
+    path = tmp_path / "lb.json"
+    assert run_cli("lb", "build", "--p", "3", "--t", "1", "--sigma", "1e-4",
+                   "--seed", str(seed), "-o", str(path)) == EXIT_OK
+    assert run_cli("lb", "certify", "--instance", str(path)) == EXIT_OK
+    certify = json.loads(capsys.readouterr().out)
+    assert run_cli("lb", "ratio", "--instance", str(path)) == EXIT_OK
+    return path, certify, json.loads(capsys.readouterr().out)
+
+
+def test_lb_commands_report_the_lb_sweep_row(tmp_path, capsys):
+    cfg = harness.SweepConfig(experiment="lb", p=3, t=1, sigma=(1e-4,), seeds=1)
+    row = harness.run_sweep(cfg)[0]
+    path, certify, ratio = _lb_commands(tmp_path, capsys, row["seed"])
+    assert {**certify, **ratio} == {"eps": row["eps"], **{
+        key: row[key] for key in ("certified", "tour_length", "container_ok",
+                                  "worst_offset_ratio", "mst2", "ratio_lb")}}
+    li, inst = twoptlab.LayeredInstance.from_json(path.read_text())
+    assert twoptlab.ratio_lower_bound(li, inst) == row["ratio_lb"]
+
+
+def test_lb_commands_frozen_values(tmp_path, capsys):
+    path, certify, ratio = _lb_commands(tmp_path, capsys, 5)
+    assert ratio == {"tour_length": 2.2308046912539425, "mst2": 2.90225244184855,
+                     "ratio_lb": 0.7686459865059367}
+    assert certify["tour_length"] == ratio["tour_length"]
+    li, inst = twoptlab.LayeredInstance.from_json(path.read_text())
+    assert twoptlab.ratio_lower_bound(li, inst) == ratio["ratio_lb"]
 
 
 @pytest.mark.parametrize("name", sorted(test_lower_bound.TAMPERINGS))
@@ -435,6 +477,18 @@ def test_sweep_replay_plot_data(tmp_path, capsys):
     assert "final_length" in variables and "iterations" in variables
     assert "row_id" not in variables  # identifiers are not melted
     assert all(line.split(",")[-1] != "" for line in tidy_lines[1:])
+
+
+@pytest.mark.parametrize("n", [8, 30])  # Held-Karp's optimum, then the 2 MST bound
+def test_sweep_with_a_zero_optimum_leaves_ratio_empty(tmp_path, n):
+    cfg_path = tmp_path / "zero.cfg"
+    cfg_path.write_text(f"n = {n}\nsigma = 0\norigins = single-point\nseeds = 1\n")
+    out = tmp_path / "rows.csv"
+    assert run_cli("sweep", "--config", str(cfg_path), "-o", str(out)) == EXIT_OK
+    header, line = out.read_text().splitlines()
+    row = dict(zip(header.split(","), line.split(",")))
+    assert row["final_length"] == "0.0"
+    assert row["ratio"] == "" and row["ratio_kind"] == ""
 
 
 def test_replay_out_of_range(tmp_path):

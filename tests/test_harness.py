@@ -197,6 +197,32 @@ def test_run_sweep_grid_shape_and_ratios():
         assert row["iterations"] <= row["iter_bound"]
 
 
+@pytest.mark.parametrize("overrides, filled, empty", [
+    ({"n": (8,), "ratio": "none"}, {"delta_min", "iter_bound"}, {"ratio", "ratio_kind"}),
+    ({"n": (16,), "delta_min": "always"}, {"ratio", "ratio_kind", "delta_min", "iter_bound"}, set()),
+    ({"n": (8,), "delta_min": "never"}, {"ratio", "ratio_kind"}, {"delta_min", "iter_bound"}),
+])
+def test_run_sweep_ratio_and_delta_min_modes(overrides, filled, empty):
+    # at n = 8 auto mode fills all four cells, at n = 16 only the ratio
+    row = run_sweep(SweepConfig(sigma=(0.1,), seeds=1, **overrides))[0]
+    assert {col for col in filled | empty if row.get(col) is not None} == filled
+
+
+@pytest.mark.parametrize("mode", ["bound", "auto"])
+@pytest.mark.parametrize("metric, ratio", [("l2sq", None), ("l2", 1.0)])
+def test_bound_ratio_only_under_the_triangle_inequality(mode, metric, ratio):
+    # 20 evenly spaced points on a line: 2-opt ends on an optimal tour (under
+    # l2sq Held-Karp's length differs in the last bit only), and 2 MST bounds
+    # the optimum under l2 only; under l2sq it would read 1.947
+    cfg = SweepConfig(n=(20,), sigma=(0.0,), metric=(metric,), origins="grid", dim=1,
+                      seeds=1, ratio=mode)
+    row = run_sweep(cfg)[0]
+    assert row.get("ratio") == ratio
+    assert row.get("ratio_kind") == (None if ratio is None else "bound")
+    if metric == "l2":
+        assert row["final_length"] == 2.0
+
+
 def test_run_sweep_thread_width_invariance():
     cfg = _small_cfg()
     assert run_sweep(cfg, threads=1) == run_sweep(cfg, threads=4)

@@ -239,6 +239,7 @@ def test_ratio_lower_bound_is_conservative():
     inst = li.unperturbed()
     length = tour_length(tour.order, inst, "l2")
     assert ratio_lower_bound(li) == pytest.approx(length / (2.0 * mst_length(inst, "l2")), rel=1e-12)
+    assert ratio_lower_bound(li, inst, tour) == ratio_lower_bound(li)
 
 
 # ---------------------------------------------------------------------------
