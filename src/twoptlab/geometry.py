@@ -5,8 +5,10 @@ and squared Euclidean (l2sq).  Squared Euclidean is deliberately kept even
 though it violates the triangle inequality -- several experiments probe
 exactly that regime.
 
-``vec_dist`` is the one implementation of the three metrics; ``distance``
-and ``pairwise_distances`` are shapes around it.  A distance is therefore the
+``vec_dist`` is the one implementation of the three metrics (its d <= 2
+branch combines per-axis differences in ``_per_axis``, which the tour
+module's nearest-neighbour walk also calls); ``distance`` and
+``pairwise_distances`` are shapes around it.  A distance is therefore the
 same float whichever of them computed it; ``_gain`` is the one 2-change gain
 expression, whose order of operations the exact ball filter of ``tour`` rests
 on.  So every scan and the scalar formulas below agree bit for bit.
@@ -130,10 +132,12 @@ def vec_dist(a, b, metric: Metric | str = Metric.EUCLIDEAN) -> np.ndarray:
 
     ``a`` and ``b`` are (..., d) coordinate arrays that broadcast to a common
     shape (..., d); the result has shape (...), and a single pair gives an
-    ``np.float64``.  This is the only code that computes l1, l2 and l2sq.
+    ``np.float64``.  With ``_per_axis`` this is the only code that computes
+    l1, l2 and l2sq.
 
     Rows and blocks with d <= 2 are computed per coordinate on strided
-    views: one subtraction per coordinate, then |dx| + |dy| or dx*dx + dy*dy.
+    views: one subtraction per coordinate, then ``_per_axis``'s |dx| + |dy|
+    or dx*dx + dy*dy.
     A sum of one or two terms has one order, which ``sum`` and ``einsum``
     both take, so the bits are those of the general path below, without its
     per-call cost over a length-2 trailing axis.  From d = 3 on ``einsum``
@@ -149,19 +153,10 @@ def vec_dist(a, b, metric: Metric | str = Metric.EUCLIDEAN) -> np.ndarray:
         # axis of length 1 broadcasts
         x = np.subtract(a[..., 0], b[..., 0], dtype=np.float64)
         y = np.subtract(a[..., -1], b[..., -1], dtype=np.float64) if max(dims) == 2 else None
-        if m is Metric.MANHATTAN:
-            np.abs(x, out=x)
-            if y is not None:
-                x += np.abs(y, out=y)
-            return x
+        if m is Metric.MANHATTAN:  # no square to overflow; errstate costs microseconds
+            return _per_axis(m, x, y)
         with np.errstate(over="ignore"):  # as in einsum, a square overflows to inf silently
-            x *= x
-            if y is not None:
-                y *= y
-                x += y
-        if m is Metric.EUCLIDEAN:
-            np.sqrt(x, out=x)
-        return x
+            return _per_axis(m, x, y)
     diff = np.subtract(a, b, dtype=np.float64)
     if m is Metric.MANHATTAN:
         return np.abs(diff, out=diff).sum(axis=-1)
@@ -169,6 +164,28 @@ def vec_dist(a, b, metric: Metric | str = Metric.EUCLIDEAN) -> np.ndarray:
     if m is Metric.EUCLIDEAN:
         d = np.sqrt(d)
     return d
+
+
+def _per_axis(m: Metric, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
+    """vec_dist's d <= 2 metric from the per-coordinate differences x and y
+    (None when d = 1), computed in place in x (and y).
+
+    |x| + |y|, x*x + y*y or its square root.  A square may overflow to inf;
+    the caller sets ``np.errstate(over="ignore")``, once around as many
+    calls as it makes.
+    """
+    if m is Metric.MANHATTAN:
+        np.abs(x, out=x)
+        if y is not None:
+            x += np.abs(y, out=y)
+        return x
+    x *= x
+    if y is not None:
+        y *= y
+        x += y
+    if m is Metric.EUCLIDEAN:
+        np.sqrt(x, out=x)
+    return x
 
 
 def delta(a, b, c, metric: Metric | str = Metric.EUCLIDEAN) -> float:

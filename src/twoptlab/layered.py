@@ -49,9 +49,9 @@ from typing import IO
 import numpy as np
 
 from .exact import _ratio, _upper_bound
-from .geometry import Metric, vec_dist
+from .geometry import Metric, _pairwise, vec_dist
 from .stochastic import Instance, _check_sigma, _json_number, _json_object, perturb
-from .tour import Tour, Violation, _check_stopping, _coord_dists, _nn_walk, _scan
+from .tour import Tour, Violation, _check_stopping, _nn_walk, _scan
 from .tour import certify_two_optimality, tour_length
 
 __all__ = [
@@ -279,25 +279,38 @@ def _path_two_opt(pts: np.ndarray, path: list[int], eps: float) -> list[int]:
 
     ``path`` includes both anchors; reversals act on interior positions only,
     but cuts at the anchor edges are considered.  This is the tour engine's
-    gain kernel over an open path (no wrap-around edge), Euclidean distances
-    from coordinates, first pivot.  After a reversal the scan resumes at the
-    same row, on the sub-path from there, as the reversal may enable another
-    cut there; a full pass with no reversal certifies path-local optimality.
+    gain kernel over an open path (no wrap-around edge), Euclidean distances,
+    first pivot.  After a reversal the scan resumes at the same row, on the
+    sub-path from there, as the reversal may enable another cut there; a
+    full pass with no reversal certifies path-local optimality.
+
+    The distances come from one ``_pairwise`` matrix over the path's points,
+    computed once: ``perm`` maps each path position to its matrix row, a
+    reversal reverses only ``perm``, and each kernel block gathers its d13
+    and d24 from the matrix, its rows and then their columns.  The entries
+    are vec_dist's, and the matrix is symmetric, so the gains are those from
+    coordinates, bit for bit.
     """
     ids = np.asarray(path, dtype=np.int64)
+    D = _pairwise(pts[ids], Metric.EUCLIDEAN)
+    perm = np.arange(ids.size)
     row, applied = 0, False
     while True:
-        p = pts[ids[row:]]
-        a, b = p[:-1], p[1:]
-        hit = _scan("first", eps, vec_dist(a, b, Metric.EUCLIDEAN)[None],
-                    _coord_dists(a, b, Metric.EUCLIDEAN), closed=False)[0]
+        a, b = perm[row:-1], perm[row + 1 :]
+
+        def dists(i0: int, i1: int, c0: int, ts):
+            # whole rows first, then their columns: faster than one 2-D gather
+            return (D.take(a[i0:i1], axis=0).take(a[c0:], axis=1),
+                    D.take(b[i0:i1], axis=0).take(b[c0:], axis=1))
+
+        hit = _scan("first", eps, D[a, b][None], dists, closed=False)[0]
         if hit is None:
             if not applied:
-                return [int(v) for v in ids]
+                return [int(v) for v in ids[perm]]
             row, applied = 0, False
             continue
         row, j = row + hit[0], row + hit[1]
-        ids[row + 1 : j + 1] = ids[row + 1 : j + 1][::-1]
+        perm[row + 1 : j + 1] = perm[row + 1 : j + 1][::-1]
         applied = True
 
 

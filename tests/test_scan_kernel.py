@@ -72,7 +72,7 @@ from twoptlab import (
     write_csv,
 )
 from twoptlab import harness, layered
-from twoptlab.geometry import vec_dist
+from twoptlab.geometry import _per_axis, vec_dist
 from twoptlab.harness import RATIO_COLUMNS
 from twoptlab.tour import _make_change, _nn_walk, _scan_points
 
@@ -444,6 +444,15 @@ def _check_path_two_opt():
         pts = centers[rng.integers(4, size=40)] + rng.normal(scale=1e-9, size=(40, 2)) * (seed % 2)
         path = [int(v) for v in rng.permutation(40)]
         assert layered._path_two_opt(pts, path, 1e-15) == scan_oracle._path_two_opt(pts, path, 1e-15)
+    # a 200-point prefix of the real padding path, whose blocks are gathered
+    # from one matrix across many reversals; at sigma = 0 every gain ties
+    for sigma in (3e-6, 0.0):
+        li = build_layered(3, sigma)
+        left, cluster, _ = _cluster_ids(li)
+        ids = np.concatenate(([left], cluster))
+        pts = li.perturbed(0).points
+        path = [int(v) for v in ids[_nn_walk(pts[ids], "l2")[0][:200]]]
+        assert layered._path_two_opt(pts, path, 1e-15) == scan_oracle._path_two_opt(pts, path, 1e-15)
 
 
 def _cluster_ids(li):
@@ -554,15 +563,15 @@ def test_nearest_neighbor_start_matches_dense_walk(metric):
 
 def test_live_set_compacts_without_changing_the_walk(monkeypatch):
     # a walk computes each row against its live points only and compacts
-    # them once more than half are dead, so row k holds between the 63 - k
-    # live points and twice as many
+    # them once more than an eighth are dead, so row k holds at least the
+    # 63 - k live points and well under twice as many
     lengths = []
 
-    def row(a, b, metric):
-        lengths.append(len(b))
-        return vec_dist(a, b, metric)
+    def row(metric, x, y=None):
+        lengths.append(len(x))
+        return _per_axis(metric, x, y)
 
-    monkeypatch.setattr(twoptlab.tour, "vec_dist", row)
+    monkeypatch.setattr(twoptlab.tour, "_per_axis", row)
     pts = make_origins("grid", 64, 2, 0)
     for tree in (False, True):
         lengths.clear()
@@ -573,6 +582,19 @@ def test_live_set_compacts_without_changing_the_walk(monkeypatch):
     monkeypatch.undo()
     assert _nn_walk(pts, "l2")[0] == scan_oracle.nn_walk(pts, "l2")
     assert mst_length(pts, "l2") == scan_oracle.mst_length(pts, "l2")
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_walks_leave_the_callers_points_unchanged(d):
+    # a walk writes inf over its dead points: into its own copy, never the
+    # caller's array (at d = 1 a column of it is a view of the array)
+    pts = make_origins("uniform", 40, d, 0)
+    want = pts.copy()
+    for tree in (False, True):
+        _nn_walk(pts, "l2", tree)
+    mst_length(pts, "l2")
+    initial_tour(pts, "l2", "nn")
+    assert pts.tobytes() == want.tobytes()
 
 
 def _oracle_corpus():
