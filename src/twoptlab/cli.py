@@ -16,6 +16,7 @@ from concurrent.futures import BrokenExecutor
 from .exact import brute_force, held_karp
 from .geometry import Metric
 from .harness import (
+    _ID_COLUMNS,
     RATIO_COLUMNS,
     ROW_COLUMNS,
     VERIFY_SUITES,
@@ -30,19 +31,12 @@ from .harness import (
 )
 from .layered import LayeredInstance, _certificate, build_layered
 from .stochastic import ORIGIN_RULES, Instance, _json_array, make_origins, perturb
-from .tour import _INIT_RULES, PIVOTS, run_two_opt
+from .tour import _EPS, _INIT_RULES, PIVOTS, run_two_opt
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_VERIFICATION = 2
 EXIT_IO = 3
-
-# CSV columns kept as identifiers when melting to long format
-_ID_COLUMNS = [
-    "row_id", "experiment", "config_index", "seed_index", "seed", "n", "dim",
-    "sigma", "metric", "pivot", "init", "origins", "eps", "p", "t", "restarts",
-]
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems as validation errors (exit 1)."""
@@ -245,7 +239,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--metric", choices=[m.value for m in Metric], default="l2")
     p.add_argument("--init", choices=list(_INIT_RULES), default="random")
     p.add_argument("--pivot", choices=PIVOTS, default="first")
-    p.add_argument("--eps", type=float, default=1e-12)
+    p.add_argument("--eps", type=float, default=_EPS)
     p.add_argument("--seed", type=int, default=None,
                    help="run seed (defaults to the instance seed)")
     p.add_argument("--max-iter", type=int, default=None)
@@ -286,7 +280,7 @@ def _build_parser() -> _Parser:
 
     q = lb_sub.add_parser("certify", help="check the designated tour is 2-optimal")
     q.add_argument("--instance", required=True)
-    q.add_argument("--eps", type=float, default=1e-12)
+    q.add_argument("--eps", type=float, default=_EPS)
     q.add_argument("-o", "--output", default=None)
     q.set_defaults(handler=_cmd_lb_certify)
 

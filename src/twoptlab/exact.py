@@ -36,8 +36,8 @@ import time
 
 import numpy as np
 
-from .geometry import Metric, pairwise_distances, vec_dist
-from .tour import _SCAN_BLOCK, Tour, _coords, _nn_walk, _runs, _tour_order
+from .geometry import Metric, _pairwise, vec_dist
+from .tour import _EPS, _SCAN_BLOCK, Tour, _coords, _nn_walk, _runs, _tour_order
 
 __all__ = [
     "ExactResult",
@@ -79,7 +79,7 @@ def brute_force(inst_or_points, metric: Metric | str = Metric.EUCLIDEAN) -> Exac
     n = pts.shape[0]
     if not 3 <= n <= BRUTE_FORCE_MAX_N:
         raise ValueError(f"brute_force handles 3 <= n <= {BRUTE_FORCE_MAX_N}, got n={n}")
-    D = pairwise_distances(pts, metric)
+    D = _pairwise(pts, metric)
     perms = np.array(list(itertools.permutations(range(1, n))), dtype=np.int8)
     perms = perms[perms[:, 0] < perms[:, -1]]
     lengths = D[0, perms[:, 0]] + D[perms[:, -1], 0]
@@ -113,7 +113,7 @@ def held_karp(inst_or_points, metric: Metric | str = Metric.EUCLIDEAN) -> ExactR
     n = pts.shape[0]
     if not 3 <= n <= HELD_KARP_MAX_N:
         raise ValueError(f"held_karp handles 3 <= n <= {HELD_KARP_MAX_N}, got n={n}")
-    D = pairwise_distances(pts, metric)
+    D = _pairwise(pts, metric)
     m = n - 1
     size = 1 << m
     W = D[1:, 1:]
@@ -198,7 +198,7 @@ def estimate_two_opt_max(
     metric: Metric | str = Metric.EUCLIDEAN,
     restarts: int = 50,
     pivot: str = "first",
-    eps: float = 1e-12,
+    eps: float = _EPS,
     seed: int = 0,
 ) -> float:
     """Largest 2-optimal tour length seen over random-restart runs.

@@ -31,7 +31,6 @@ import os
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .exact import HELD_KARP_MAX_N, _ratio, _upper_bound, estimate_two_opt_max, held_karp
 from .geometry import Metric
@@ -50,6 +49,7 @@ from .stochastic import (
     perturb,
 )
 from .tour import (
+    _EPS,
     _check_pivot,
     _check_stopping,
     _rule_token,
@@ -107,7 +107,7 @@ class SweepConfig:
     origins: str = "uniform"
     seeds: int = 1
     base_seed: int = 0
-    eps: float = 1e-12
+    eps: float = _EPS
     max_iter: int | None = None
     ratio: str = "auto"
     delta_min: str = "auto"
@@ -255,9 +255,13 @@ def task_seed(base_seed: int, config_index: int, seed_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-ROW_COLUMNS = [
-    "row_id", "experiment", "config_index", "seed_index", "seed",
-    "n", "dim", "sigma", "metric", "pivot", "init", "origins", "eps", "p", "t",
+# the identifier columns in CSV order, which cli plot-data keeps when it melts a CSV
+_ID_COLUMNS = [
+    "row_id", "experiment", "config_index", "seed_index", "seed", "n", "dim",
+    "sigma", "metric", "pivot", "init", "origins", "eps", "p", "t", "restarts",
+]
+
+ROW_COLUMNS = [c for c in _ID_COLUMNS if c != "restarts"] + [
     "iterations", "initial_length", "final_length", "converged",
     "min_gain_observed", "delta_min", "iter_bound", "ratio", "ratio_kind",
     "linked_pairs", "linked_bound", "container_ok", "worst_offset_ratio",
@@ -459,7 +463,7 @@ def ratio_experiment(
     origins: str = "grid",
     origin_scale: float = 0.1,
     pivot: str = "first",
-    eps: float = 1e-12,
+    eps: float = _EPS,
 ) -> list[dict]:
     """Worst-local-optimum to optimum ratio across a sigma grid.
 
@@ -517,11 +521,7 @@ def ratio_experiment(
     return rows
 
 
-RATIO_COLUMNS = [
-    "row_id", "experiment", "config_index", "seed_index", "seed", "n", "dim",
-    "sigma", "metric", "pivot", "init", "origins", "eps", "restarts",
-    "two_opt_max", "optimum", "ratio",
-]
+RATIO_COLUMNS = [c for c in _ID_COLUMNS if c not in ("p", "t")] + ["two_opt_max", "optimum", "ratio"]
 
 
 # ---------------------------------------------------------------------------
@@ -609,6 +609,7 @@ def _suite_tail(samples: int, seed: int) -> list[VerifyCheck]:
 
 
 def _suite_chi(samples: int, seed: int) -> list[VerifyCheck]:
+    from scipy.integrate import quad  # it loads scipy.optimize, so only where a suite integrates
     checks = []
     for d in range(1, 7):
         total, _ = quad(lambda x: chi_pdf(x, d, 1.3), 0.0, 26.0)
@@ -635,6 +636,7 @@ def _suite_chi(samples: int, seed: int) -> list[VerifyCheck]:
 
 
 def _suite_integral(samples: int, seed: int) -> list[VerifyCheck]:
+    from scipy.integrate import quad
     checks = []
     for d in range(2, 13):
         sigma = 1.0 if d % 2 == 0 else 0.7

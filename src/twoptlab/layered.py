@@ -51,7 +51,7 @@ import numpy as np
 from .exact import _ratio, _upper_bound
 from .geometry import Metric, _pairwise, vec_dist
 from .stochastic import Instance, _check_sigma, _json_number, _json_object, perturb
-from .tour import Tour, Violation, _check_stopping, _nn_walk, _scan
+from .tour import _EPS, Tour, Violation, _check_stopping, _nn_walk, _scan
 from .tour import certify_two_optimality, tour_length
 
 __all__ = [
@@ -383,7 +383,7 @@ def check_containers(li: LayeredInstance, perturbed: Instance) -> tuple[bool, fl
 
 
 def _certificate(li: LayeredInstance, perturbed: Instance | None = None,
-                 eps: float = 1e-12) -> tuple[dict, Violation | None]:
+                 eps: float = _EPS) -> tuple[dict, Violation | None]:
     """The lb row's seven measured fields for the designated tour, and the
     certifier's Violation (None when certified), measured in the row's order."""
     if perturbed is None:
@@ -412,7 +412,9 @@ def ratio_lower_bound(
     Euclidean lengths of ``tour``, by default the designated tour; 2 MST
     upper-bounds the optimal tour, so the value lower-bounds L / OPT.
     """
+    if perturbed is None:
+        perturbed = li.unperturbed()
     if tour is None:
-        return _certificate(li, perturbed)[0]["ratio_lb"]
-    pts = (li.unperturbed() if perturbed is None else perturbed).points
+        tour = build_long_tour(li, perturbed)
+    pts = perturbed.points
     return _ratio(tour_length(tour, pts, Metric.EUCLIDEAN), _upper_bound(pts, Metric.EUCLIDEAN))

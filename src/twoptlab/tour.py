@@ -19,23 +19,24 @@ one reduction, ``_pick``, over the blocks in row-major (lexicographic) order:
   seed).
 
 The engine's descent, ``_descend``, runs a batch of tours in lockstep.
-Each tour holds one (n+1) x (n+1) position matrix,
-P[a, b] = d(order[a % n], order[b % n]).  The tour's edge lengths are its
-first superdiagonal and the kernel's distance blocks are plain slices of
-it, with a leading tour axis, so one kernel pass scans every live tour of
-the batch.  Each step retires the tours with no improving pair and applies
-one change to each of the others.  A larger batch moves each tour's order
-and matrix with one gather and scans every pair again.  A batch of one
-reverses the matching rows and columns in place; when its pairs exceed one
-kernel block it also keeps a summary per kernel row across its steps
-(``_RowSummaries``): the row's count of gains > eps, under the best pivot
-its largest gain, and whether the summary is known.  A change of edges
-lo..hi-1 leaves every other gain's bits as they were, so a step recomputes
-only rows lo..hi-1 and, in the rows below, the columns lo..hi-1; the pick,
-the gain and the random draw stay _scan's, bit for bit.  Both paths reach
-the same matrices, entry for entry.
+It computes each tour's (n+1) x (n+1) position matrix,
+P[a, b] = d(order[a % n], order[b % n]), from the tour-ordered points.  The
+tour's edge lengths are its first superdiagonal and the kernel's distance
+blocks are plain slices of it, with a leading tour axis, so one kernel pass
+scans every live tour of the batch.  Each step retires the tours with no
+improving pair and applies one change to each of the others.  The descent
+picks its step path once, from the batch's shape.  A larger batch moves
+each tour's order and matrix with one gather and scans every pair again.
+A batch of one reverses the matching rows and columns in place; when its
+pairs exceed one kernel block it also keeps a summary per kernel row
+across its steps (``_RowSummaries``): the row's count of gains > eps, under
+the best pivot its largest gain, and whether the summary is known.  A
+change of edges lo..hi-1 leaves every other gain's bits as they were, so a
+step recomputes only rows lo..hi-1 and, in the rows below, the columns
+lo..hi-1; the pick, the gain and the random draw stay _scan's, bit for bit.
+Both paths reach the same matrices, entry for entry.
 One runner, ``_runs``, sets every descent up: it draws each seed's start,
-computes each batch's matrices from the tour-ordered points and returns
+hands each batch's start orders to ``_descend`` and returns
 one ``RunRecord`` per seed.  ``run_two_opt`` is the runner over one seed
 and ``exact.estimate_two_opt_max`` the largest final length over its
 restarts' seeds.  The layered path 2-opt gathers its blocks from one
@@ -287,6 +288,9 @@ def _rule_token(rule: str) -> str:
 def _check_pivot(pivot: str) -> None:
     if pivot not in PIVOTS:
         raise ValueError(f"unknown pivot rule {pivot!r}")
+
+
+_EPS = 1e-12  # the default eps of every descent, scan and certificate
 
 
 def _check_stopping(eps: float, max_iter: int | None = None) -> None:
@@ -706,7 +710,7 @@ def find_improving(
     inst_or_points,
     metric: Metric | str = Metric.EUCLIDEAN,
     pivot: str = "first",
-    eps: float = 1e-12,
+    eps: float = _EPS,
     seed: int | np.random.Generator | None = None,
 ) -> TwoChange | None:
     """Search the tour for an improving 2-change under the pivot rule.
@@ -788,13 +792,6 @@ class _RowSummaries:
         self.cnt = np.zeros(n - 2, dtype=np.int64)
         self.top = np.full(n - 2, -np.inf)
         self.valid = np.zeros(n - 2, dtype=bool)
-        # a tour whose pairs fit in one kernel block is scanned whole at every
-        # step: there the summaries' extra numpy calls cost more than they save
-        # (on a 2-CPU machine, 1.1-1.8x the full scan's run time at n <= 50
-        # for every pivot and start; the random pivot gains from n = 100, the
-        # first from about n = 150-200, and the best pivot from a random start
-        # still loses 27 % at n = 250)
-        self.whole = n * (n - 3) // 2 <= _SCAN_BLOCK
 
     def _refresh(self, i0: int, i1: int) -> None:
         g = _gains(self.el, self.dists, i0, i1, slice(None))[0]
@@ -829,8 +826,6 @@ class _RowSummaries:
 
     def pick(self, rng) -> tuple[int, int, float] | None:
         """The pair (i, j, gain) _scan picks on the tour now, or None."""
-        if self.whole:
-            return _scan(self.pivot, self.eps, self.el, self.dists, rngs=(rng,))[0]
         cnt, valid, eps = self.cnt, self.valid, self.eps
         rows, first = cnt.size, self.pivot == "first"
         # first refreshes in order up to its first improving row, in doubling
@@ -890,14 +885,14 @@ class _RowSummaries:
         pairs, under best and random, trades its old columns, taken before
         the flip, for the new ones, and under best a row whose largest gain
         sat in those columns and is not matched by the new ones is
-        invalidated.  The outer side, a change touching more than half the
-        pairs and a tour in one kernel block invalidate every row instead.
+        invalidated.  The outer side and a change touching more than half the
+        pairs invalidate every row instead, which measured faster there.
         """
         n = order.size
         lo, hi = i, j + 1
         w = hi - lo
         cnt, top, valid = self.cnt, self.top, self.valid
-        if self.whole or 2 * (j - i) > n or 2 * w * (2 * n - w - 3) > n * (n - 3):
+        if 2 * (j - i) > n or 2 * w * (2 * n - w - 3) > n * (n - 3):
             valid[:] = False
             return _reverse_segment(order, i, j, self.P[0])
         valid[lo:hi] = False
@@ -921,23 +916,25 @@ class _RowSummaries:
         return added
 
 
-def _descend(P: np.ndarray, orders: np.ndarray, pivot: str, eps: float, rngs,
+def _descend(pts: np.ndarray, metric, orders: np.ndarray, pivot: str, eps: float, rngs,
              max_iter: int | None = None, keep_changes: bool = False) -> list[dict]:
-    """2-opt to local optimality on a batch of tours in lockstep.
+    """2-opt to local optimality on a batch of tours through the points pts, in lockstep.
 
-    Tour t has the order orders[t], its position matrix P[t] and the
-    generator rngs[t] for random-pivot draws.  Each step picks a pair on
-    every live tour, retires those with no pair of gain > eps (converged) or
-    with max_iter changes applied, and applies its picked change to each of
-    the others.  A batch of one picks from its row summaries and reverses its
-    order and matrix in place (see _RowSummaries); a larger batch scans
-    every pair with _scan and moves every tour's order and matrix with one
-    gather, which also drops the retired tours.  Returns, per tour, the
-    RunRecord fields its descent sets, by name.  Raises ValueError when a
-    change would undo the one before it, which only rounding can make look
-    improving at this eps.
+    Tour t has the order orders[t], the generator rngs[t] for random-pivot
+    draws and its position matrix P[t], computed here with the others from
+    the tour-ordered points.  Each step picks a pair on every live tour,
+    retires those with no pair of gain > eps (converged) or with max_iter
+    changes applied, and applies its picked change to each of the others.
+    A larger batch scans every pair with _scan and moves every tour's order
+    and matrix with one gather, which also drops the retired tours.  A batch
+    of one reverses its order and matrix in place and scans with the same
+    _scan call within one kernel block, with _RowSummaries above it.
+    Returns, per tour, the RunRecord fields its descent sets, by name.
+    Raises ValueError when a change would undo the one before it, which
+    only rounding can make look improving at this eps.
     """
     tours, n = orders.shape
+    P = _pairwise(pts[np.hstack((orders, orders[:, :1]))], metric)
     runs: list = [None] * tours
     initial = [float(P[t].diagonal(1).sum()) for t in range(tours)]
     iterations, min_gain = [0] * tours, [None] * tours
@@ -945,7 +942,13 @@ def _descend(P: np.ndarray, orders: np.ndarray, pivot: str, eps: float, rngs,
     undo: list = [None] * tours  # the positions of the edges each tour's last change added
     live = list(range(tours))
     el = P.diagonal(1, axis1=1, axis2=2)
-    summary = _RowSummaries(P, pivot, eps) if tours == 1 else None
+    # one tour within one kernel block is scanned whole at every step: there
+    # the row summaries' extra numpy calls cost more than they save (on a
+    # 2-CPU machine, 1.1-1.8x the full scan's run time at n <= 50 for every
+    # pivot and start; the random pivot gains from n = 100, the first from
+    # about n = 150-200, and the best pivot from a random start still loses
+    # 27 % at n = 250)
+    summary = _RowSummaries(P, pivot, eps) if tours == 1 and n * (n - 3) // 2 > _SCAN_BLOCK else None
     while live:
         if summary is not None:
             hits = [summary.pick(rngs[0])]
@@ -976,9 +979,10 @@ def _descend(P: np.ndarray, orders: np.ndarray, pivot: str, eps: float, rngs,
             min_gain[t] = gain if min_gain[t] is None else min(min_gain[t], gain)
             moves.append((row, i, j))
         live = [live[row] for row, _, _ in moves]
-        if summary is not None and live:
+        if tours == 1 and live:
             _, i, j = moves[0]
-            undo[0] = summary.reverse(orders[0], i, j)
+            undo[0] = (_reverse_segment(orders[0], i, j, P[0]) if summary is None
+                       else summary.reverse(orders[0], i, j))
         elif live:
             rows, i, j = (np.array(v) for v in zip(*moves))
             perm, added = _reversals(n, i, j)
@@ -997,7 +1001,7 @@ def run_two_opt(
     metric: Metric | str = Metric.EUCLIDEAN,
     init: str = "random",
     pivot: str = "first",
-    eps: float = 1e-12,
+    eps: float = _EPS,
     seed: int = 0,
     max_iter: int | None = None,
     keep_changes: bool = True,
@@ -1021,11 +1025,9 @@ def _runs(inst_or_points, metric, init: str, pivot: str, eps: float, seeds,
     """run_two_opt's record for each seed, the runs in lockstep batches of the descent.
 
     A batch holds max(1, _SCAN_BLOCK // (n+1)^2) tours (one from n = 128
-    on), so its position matrices take about _SCAN_BLOCK elements.  Tour
-    t's matrix, P[a, b] = d(order[a % n], order[b % n]), holds the tour's
-    edges on its first superdiagonal, and the kernel's blocks are slices of
-    it; the batch's matrices are computed together from its tour-ordered
-    points.
+    on), so its position matrices take about _SCAN_BLOCK elements.  The
+    runner draws each seed's start and hands the batch's start orders and
+    the points to _descend.
     """
     _check_pivot(pivot)
     rule = _rule_token(init)
@@ -1038,8 +1040,7 @@ def _runs(inst_or_points, metric, init: str, pivot: str, eps: float, seeds,
         batch = seeds[lo : lo + size]
         rngs = [np.random.default_rng(s) for s in batch]
         orders = np.array([_start_order(pts, metric, rule, rng) for rng in rngs])
-        ext = np.hstack((orders, orders[:, :1]))
-        runs = _descend(_pairwise(pts[ext], metric), orders, pivot, eps, rngs, max_iter, keep_changes)
+        runs = _descend(pts, metric, orders, pivot, eps, rngs, max_iter, keep_changes)
         records += [RunRecord(seed=int(s), metric=Metric.parse(metric).value, pivot=pivot,
                               init=rule, n=n, eps=eps, **run) for s, run in zip(batch, runs)]
     return records
@@ -1049,7 +1050,7 @@ def certify_two_optimality(
     inst_or_points,
     tour: Tour | Sequence[int],
     metric: Metric | str = Metric.EUCLIDEAN,
-    eps: float = 1e-12,
+    eps: float = _EPS,
 ) -> Violation | None:
     """Full scan for the maximum-gain improving pair; None if 2-optimal.
 
@@ -1069,7 +1070,7 @@ def certify_two_optimality(
 def min_improvement(
     inst_or_points,
     metric: Metric | str = Metric.EUCLIDEAN,
-    eps: float = 1e-12,
+    eps: float = _EPS,
 ) -> float | None:
     """Smallest gain above eps over all ordered vertex quadruples.
 

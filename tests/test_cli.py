@@ -621,3 +621,13 @@ def test_module_main_matches_package(tmp_path):
     assert "PASS" in via_module.stdout
     assert via_script.returncode == via_module.returncode, via_script.stderr
     assert via_script.stdout == via_module.stdout
+
+
+def test_import_leaves_scipy_integrate_unloaded(tmp_path):
+    # scipy.integrate also loads scipy.optimize, which every process importing
+    # twoptlab would pay for; only the chi and integral suites need it
+    probe = "import sys, twoptlab; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          cwd=tmp_path, env=_checkout_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -19,6 +19,7 @@ from twoptlab import (
     ratio_lower_bound,
     tour_length,
 )
+from twoptlab import layered
 from twoptlab.layered import MAX_POINTS
 
 import scan_oracle
@@ -240,6 +241,21 @@ def test_ratio_lower_bound_is_conservative():
     length = tour_length(tour.order, inst, "l2")
     assert ratio_lower_bound(li) == pytest.approx(length / (2.0 * mst_length(inst, "l2")), rel=1e-12)
     assert ratio_lower_bound(li, inst, tour) == ratio_lower_bound(li)
+
+
+def test_ratio_lower_bound_computes_only_the_ratio(monkeypatch):
+    # the ratio needs the designated tour's length and 2 MST; the container
+    # check and the certifier belong to the lb row alone
+    li = build_layered(3, sigma=1e-4, t=1)
+    inst = li.perturbed(0)
+    want = layered._certificate(li, inst)[0]["ratio_lb"]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ratio_lower_bound ran a check it does not report")
+
+    for name in ("check_containers", "certify_two_optimality"):
+        monkeypatch.setattr(layered, name, refuse)
+    assert ratio_lower_bound(li, inst) == want
 
 
 # ---------------------------------------------------------------------------

@@ -150,12 +150,27 @@ def test_large_coordinates_in_tiny_blocks_match_reference_scans(tiny_blocks, piv
     assert compared >= 60
 
 
-def test_tiny_blocks_keep_row_summaries_from_n8(tiny_blocks):
+def _count_row_summaries(monkeypatch):
+    """The list of every _RowSummaries constructed from now on."""
+    made = []
+    init = twoptlab.tour._RowSummaries.__init__
+
+    def counted(self, *args):
+        made.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(twoptlab.tour._RowSummaries, "__init__", counted)
+    return made
+
+
+def test_tiny_blocks_keep_row_summaries_from_n8(tiny_blocks, monkeypatch):
     # a tour whose pairs fit in one 16-gain block is scanned whole at every
     # step; from n = 8 on the corpus runs keep summaries across steps
-    for n in SIZES:
-        P = np.zeros((1, n + 1, n + 1))
-        assert twoptlab.tour._RowSummaries(P, "first", 1e-12).whole == (n < 8), n
+    made = _count_row_summaries(monkeypatch)
+    for n, seed, pts in _corpus(range(1)):
+        made.clear()
+        run_two_opt(pts, "l2", pivot="first", seed=seed)
+        assert len(made) == (n >= 8), n
 
 
 # the pairs of a tour fit in one default block up to n = 257
@@ -696,9 +711,7 @@ def test_batches_in_tiny_blocks_match_one_run_per_seed(tiny_blocks, metric, pivo
         want = [run_two_opt(pts, metric, pivot=pivot, seed=s) for s in seeds]
         rngs = [np.random.default_rng(s) for s in seeds]
         orders = np.array([initial_tour(pts, metric, "random", rng).order for rng in rngs])
-        ext = np.hstack((orders, orders[:, :1]))
-        P = pairwise_distances(pts, metric)[ext[:, :, None], ext[:, None, :]]
-        runs = twoptlab.tour._descend(P, orders, pivot, 1e-12, rngs, keep_changes=True)
+        runs = twoptlab.tour._descend(pts, metric, orders, pivot, 1e-12, rngs, keep_changes=True)
         assert runs == [{k: getattr(rec, k) for k in run} for run, rec in zip(runs, want)], n
 
 
@@ -735,15 +748,13 @@ def test_in_place_runs_match_the_gather_path(monkeypatch, init, pivot):
 
     monkeypatch.setattr(twoptlab.tour._RowSummaries, "reverse", hooked)
     pts = perturb(make_origins("uniform", BIG, 2, 4), 0.3, 4).points
-    D = pairwise_distances(pts, "l2")
     seeds = [4, 5]
     for max_iter in (None, 5):
         # each seed's generator draws its start, then its random-pivot picks
         rngs = [np.random.default_rng(s) for s in seeds]
         orders = np.array([initial_tour(pts, "l2", init, rng).order for rng in rngs])
-        ext = np.hstack((orders, orders[:, :1]))
-        runs = twoptlab.tour._descend(D[ext[:, :, None], ext[:, None, :]], orders, pivot,
-                                      1e-12, rngs, max_iter, keep_changes=True)
+        runs = twoptlab.tour._descend(pts, "l2", orders, pivot, 1e-12, rngs, max_iter,
+                                      keep_changes=True)
         for seed, run in zip(seeds, runs):
             rec = run_two_opt(pts, "l2", init, pivot, seed=seed, max_iter=max_iter)
             got = RunRecord(seed=seed, metric="l2", pivot=pivot, init=rec.init, n=BIG,
@@ -781,13 +792,14 @@ def test_undo_guard_raises_inside_a_batch():
 
 
 @pytest.mark.parametrize("n,seed,pivot", [(12, 2, "first"), (30, 4, "best")])
-def test_undo_guard_raises_on_a_single_tour(tiny_blocks, n, seed, pivot):
+def test_undo_guard_raises_on_a_single_tour(tiny_blocks, monkeypatch, n, seed, pivot):
     # at 1e8 the l1 gains of a 2-change and of its inverse are both rounding
     # residues above eps; in 16-gain blocks the run keeps row summaries
-    assert not twoptlab.tour._RowSummaries(np.zeros((1, n + 1, n + 1)), pivot, 1e-12).whole
+    made = _count_row_summaries(monkeypatch)
     pts = 1e8 * perturb(make_origins("uniform", n, 2, seed), 0.3, seed).points
     with pytest.raises(ValueError, match="undoes the previous change"):
         run_two_opt(pts, "l1", pivot=pivot, seed=seed, max_iter=3000)
+    assert len(made) == 1
 
 
 def test_ratio_csv_matches_the_reference_estimate(monkeypatch, tmp_path):
