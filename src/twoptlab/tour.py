@@ -63,10 +63,16 @@ ball of radius el_i + tau around x1 (which gives j) or x2 in the ball of
 radius el_j + tau around x4 (which gives i + 1).  The radii are inflated by
 a relative 2^-40 to cover the tree's own rounding; l1 is queried with p = 1,
 and l2sq as an l2 ball of the square-root radius (``as_points`` keeps tau
-finite).  The candidates' gains, from ``_gain``, are one block for
-``_pick``, so the pick and the random draw are the kernel's, bit for bit.
-When the balls hold more than ``_PRUNE_SHARE`` of the pairs (a random tour,
-say) the blocked kernel is faster and runs instead.
+finite).  The balls are queried as joins of KD-trees, all in C: the
+centres fall into classes by the binary exponent of their radius, and
+each class's tree is joined with the tree over the points out to its
+class's power of two, which lies above every radius of the class; a
+record counts when its distance is within its centre's own radius.  The
+candidates' gains, from ``_gain``, are one block for ``_pick``, so the
+pick and the random draw are the kernel's, bit for bit.  When the joins
+count more than ``_PRUNE_SHARE`` of the pairs (a random tour, say) the
+blocked kernel is faster and runs instead; the count overcounts the ball
+points, which only sends more tours to the kernel, with the same pick.
 
 ``run_two_opt`` iterates pick+apply until no improving pair remains: it
 has converged when every row summary is known and none holds a gain > eps
@@ -88,7 +94,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import itertools
 import json
 import math
 from typing import IO, Sequence
@@ -455,11 +460,13 @@ _SCAN_FIRST = 2**10
 # A block has at most isqrt(_SCAN_BLOCK) rows (see _blocks); its pairs
 # (i, j) with j < i + 2 lie strictly below this triangle's diagonal.
 _BELOW = np.tri(math.isqrt(_SCAN_BLOCK) + 1, k=-1, dtype=bool)
-# A coordinate scan evaluates only its ball candidates while the ball
-# points number at most this share of the n(n-3)/2 pairs.  A candidate costs
-# about 0.5-0.9 us (Python lists from the tree) and a pair of the blocked
-# kernel about 70-110 ns; on partly shuffled 2-opt tours at n = 400 and 1500
-# the two took equal time at a share of about 0.16 and 0.13.
+# A coordinate scan evaluates only its ball candidates while the radius
+# classes' overcount of the ball points is at most this share of the
+# n(n-3)/2 pairs.  A ball point costs about 120-190 ns (the class joins,
+# from C) and a pair of the blocked kernel about 15-40 ns; on partly
+# shuffled 2-opt tours at n = 400 and 1500 under the best pivot the two
+# took equal time at an overcount share of about 0.15 and 0.12 (2-CPU
+# host, thread time, medians of 3-5).
 _PRUNE_SHARE = 1 / 16
 
 
@@ -578,9 +585,14 @@ def _ball_keys(p: np.ndarray, pn: np.ndarray, el: np.ndarray, metric) -> np.ndar
     Edge k runs from p[k] to pn[k] and has length el[k].  A pair (i, j) is a
     candidate when p[j] lies in the ball of radius el[i] + tau around p[i],
     or p[i+1] in the ball of radius el[j] + tau around p[j+1] (see the module
-    docstring); one tree over p answers both queries.  The pairs j < i + 2
-    and the closed tour's (0, n-1) are dropped.  A count of the ball points
-    decides first: above _PRUNE_SHARE of the n(n-3)/2 pairs, None.
+    docstring).  The 2n centres, p then pn, fall into classes by the binary
+    exponent of their radius, so every radius of a class lies below its
+    power of two rho.  Each class is one tree, joined against one tree over
+    p out to rho: ``count_neighbors`` first, whose sum overcounts the ball
+    points (above _PRUNE_SHARE of the n(n-3)/2 pairs, None), then
+    ``sparse_distance_matrix``, whose records keep the points within their
+    centre's own radius.  The pairs j < i + 2 and the closed tour's
+    (0, n-1) are dropped.
     """
     n = el.size
     m = Metric.parse(metric)
@@ -591,13 +603,22 @@ def _ball_keys(p: np.ndarray, pn: np.ndarray, el: np.ndarray, metric) -> np.ndar
     minkowski = 1 if m is Metric.MANHATTAN else 2
     tree = cKDTree(p)
     centres, radii = np.concatenate((p, pn)), np.concatenate((r, r))
-    counts = tree.query_ball_point(centres, radii, p=minkowski, return_length=True)
-    total = int(counts.sum())
+    exps = np.frexp(radii)[1]
+    classes = []
+    for e in np.unique(exps):
+        ids = np.flatnonzero(exps == e)
+        classes.append((ids, cKDTree(centres[ids]), math.ldexp(1.0, int(e))))
+    total = sum(int(ct.count_neighbors(tree, rho, p=minkowski)) for _, ct, rho in classes)
     if total > _PRUNE_SHARE * (n * (n - 3) // 2):
         return None
-    hits = tree.query_ball_point(centres, radii, p=minkowski)
-    centre = np.repeat(np.arange(2 * n), counts)
-    k = np.fromiter(itertools.chain.from_iterable(hits), dtype=np.int64, count=total)
+    centre, k = [], []
+    for ids, ct, rho in classes:
+        rec = ct.sparse_distance_matrix(tree, rho, p=minkowski, output_type="ndarray")
+        c = ids[rec["i"]]
+        inside = rec["v"] <= radii[c]
+        centre.append(c[inside])
+        k.append(rec["j"][inside])
+    centre, k = np.concatenate(centre), np.concatenate(k)
     # around p[i] a hit is j; around p[j+1] (centre n + j) it is i + 1
     around_x1 = centre < n
     i = np.where(around_x1, centre, k - 1)

@@ -16,8 +16,11 @@ one such matrix, whatever its start and pivot.  The coordinate scans
 evaluate only KD-tree ball candidates on sparse tours; forced onto that
 path and onto the blocked kernel, they must both match the reference loops
 and each other, random draws included, and the certifier's gain must be
-two_change_gain of its edges.  Coordinates whose distances
-overflow are rejected at every entry point.  The layered
+two_change_gain of its edges.  The candidates must hold every pair on or
+inside a ball whatever the radius classes (radii over many binary
+exponents, a radius exactly a power of two, a subnormal tau), and the lb
+row's designated tour must certify on its candidates alone.  Coordinates
+whose distances overflow are rejected at every entry point.  The layered
 padding path, the nearest-neighbour start and the MST share one walk over
 the live points' coordinate rows: the path must visit the points the old
 path did, in the same order, the start must be the old walk over full
@@ -330,15 +333,50 @@ def test_overflowing_coordinates_are_rejected(metric):
     assert np.isfinite(tour_length(tour, edge * make_origins("uniform", 12, 2, 0), metric))
 
 
-@pytest.mark.parametrize("metric", METRICS)
-def test_ball_candidates_hold_every_pair_on_or_inside_a_ball(pruned_scans, metric):
+def _ball_radii(p, metric):
+    """The ball radius of each edge of the closed tour through p, as _ball_keys takes it."""
+    el = vec_dist(p, np.roll(p, -1, axis=0), metric)
+    r = (el + np.spacing(2 * el.max())) * (1 + 2.0**-40)
+    return np.sqrt(r) if metric == "l2sq" else r
+
+
+def _ball_layouts(metric):
+    """Point sets whose ball candidates are checked: (name, points, orders)."""
     # grids at inexact scales put many pairs exactly on a ball's boundary,
     # d13 == el_i as vec_dist computes them, where the tree's own rounding
     # can differ: the radius margins must keep every such pair
     for (n, dim, seed), scale in itertools.product(((60, 2, 0), (64, 3, 1), (50, 1, 2)),
                                                    (1 / 3, 1e6 / 3)):
         pts = scale * make_origins("grid", n, dim, seed)
-        for order in (np.arange(n), np.random.default_rng(seed).permutation(n)):
+        yield f"grid {n} {dim} {scale}", pts, (np.arange(n), np.random.default_rng(seed).permutation(n))
+    # nested grids 2^-3 apart in scale: the radii fall into many classes
+    nested = np.concatenate([2.0 ** (-3 * k) * (make_origins("grid", 16, 2, 0) + 2 * k)
+                             for k in range(5)])
+    el = vec_dist(nested, np.roll(nested, -1, axis=0), metric)
+    exps = np.frexp(el[el > 0])[1]
+    assert exps.max() - exps.min() >= 10
+    yield "nested", nested, (np.arange(80), np.random.default_rng(0).permutation(80))
+    # an integer lattice scaled an ulp at a time until some radii are exactly
+    # a power of two, the lower edge of their class
+    lattice = np.array([(x, y) for x in range(6) for y in range(6)], dtype=float)
+    order = np.random.default_rng(1).permutation(36)
+    scale = (1 + 2.0**-46) / _ball_radii(lattice[order], metric).min()
+    for _ in range(1000):
+        if (np.frexp(_ball_radii(scale * lattice[order], metric))[0] == 0.5).any():
+            break
+        scale = np.nextafter(scale, 0.0)
+    else:
+        raise AssertionError("no scale gives a power-of-two radius")
+    yield "power of two", scale * lattice, (order,)
+    # every point coincident: el.max() == 0, so tau is subnormal
+    yield "coincident", np.full((12, 2), 0.3), (np.arange(12),)
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_ball_candidates_hold_every_pair_on_or_inside_a_ball(pruned_scans, metric):
+    for name, pts, orders in _ball_layouts(metric):
+        n = pts.shape[0]
+        for order in orders:
             p = pts[order]
             pn = np.roll(p, -1, axis=0)
             el = vec_dist(p, pn, metric)
@@ -347,7 +385,7 @@ def test_ball_candidates_hold_every_pair_on_or_inside_a_ball(pruned_scans, metri
             i, j = i[pairs], j[pairs]
             inside = (vec_dist(p[i], p[j], metric) <= el[i]) | (vec_dist(pn[i], pn[j], metric) <= el[j])
             keys = twoptlab.tour._ball_keys(p, pn, el, metric)
-            assert np.isin((i * n + j)[inside], keys).all(), (n, dim, scale)
+            assert np.isin((i * n + j)[inside], keys).all(), name
 
 
 def test_certify_convex_position_without_the_blocked_kernel(monkeypatch):
@@ -361,6 +399,39 @@ def test_certify_convex_position_without_the_blocked_kernel(monkeypatch):
     angles = np.sort(np.random.default_rng(0).random(n)) * 2.0 * np.pi
     pts = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     assert certify_two_optimality(pts, Tour.from_order(range(n)), "l2") is None
+
+
+def test_lb_rows_certify_on_ball_candidates(monkeypatch):
+    # the lb row's designated p = 3 tour (n = 3106) certifies on its ball
+    # candidates: the radius classes' overcount must not send it to the
+    # blocked kernel.  A few random 2-changes then make violations, which
+    # the candidates and the blocked kernel must pick alike, random draws
+    # included
+    li = build_layered(3, 3e-6)
+    perts = [li.perturbed(s) for s in range(3)]
+    tours = [build_long_tour(li, pert) for pert in perts]
+
+    def dense(*args, **kwargs):
+        raise AssertionError("the blocked kernel ran")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(twoptlab.tour, "_scan", dense)
+        for s, (pert, tour) in enumerate(zip(perts, tours)):
+            assert certify_two_optimality(pert.points, tour, "l2") is None, s
+    for s, (pert, tour) in enumerate(zip(perts, tours)):
+        order = np.array(tour.order)
+        rng = np.random.default_rng(s)
+        for _ in range(4):
+            i, j = sorted(rng.choice(order.size, 2, replace=False))
+            order[i + 1 : j + 1] = order[i + 1 : j + 1][::-1]
+        for pivot in PIVOTS:
+            picks = []
+            for share in (math.inf, -1.0):
+                monkeypatch.setattr(twoptlab.tour, "_PRUNE_SHARE", share)
+                rng = np.random.default_rng(s)
+                picks.append((_scan_points(pert.points[order], "l2", pivot, 1e-12, rng),
+                              rng.bit_generator.state))
+            assert picks[0][0] is not None and picks[0] == picks[1], (s, pivot)
 
 
 @pytest.mark.parametrize("n", [7, 8, 13, 16])
