@@ -28,12 +28,13 @@ improving pair and applies one change to each of the others.  The descent
 picks its step path once, from the batch's shape.  A larger batch moves
 each tour's order and matrix with one gather and scans every pair again.
 A batch of one reverses the matching rows and columns in place; when its
-pairs exceed one kernel block it also keeps a summary per kernel row
-across its steps (``_RowSummaries``): the row's count of gains > eps, under
-the best pivot its largest gain, and whether the summary is known.  A
-change of edges lo..hi-1 leaves every other gain's bits as they were, so a
-step recomputes only rows lo..hi-1 and, in the rows below, the columns
-lo..hi-1; the pick, the gain and the random draw stay _scan's, bit for bit.
+pairs exceed one kernel block it also keeps one summary per kernel row
+across its steps (``_RowSummaries``), and whether it is known: under the
+best pivot the row's largest gain, under first and random its count of
+gains > eps.  A change of edges lo..hi-1 leaves every other gain's bits as
+they were, so a step recomputes only rows lo..hi-1 and, in the rows below,
+the columns lo..hi-1; the pick, the gain and the random draw stay _scan's,
+bit for bit.
 Both paths reach the same matrices, entry for entry.
 One runner, ``_runs``, sets every descent up: it draws each seed's start,
 hands each batch's start orders to ``_descend`` and returns
@@ -130,12 +131,21 @@ def _coords(inst_or_points) -> np.ndarray:
     return as_points(pts)
 
 
-def _tour_order(tour, n: int) -> np.ndarray:
-    """The order array of a Tour or vertex sequence, checked to be a permutation of 0..n-1."""
-    order = tour.order if isinstance(tour, Tour) else np.asarray(tour, dtype=np.int64).ravel()
+def _tour_order(tour, n: int | None = None) -> np.ndarray:
+    """The order array of a Tour or vertex sequence, checked to hold integer
+    vertex ids that are a permutation of 0..n-1 (n defaults to its length).
+
+    The ids must have an integer dtype: floats, even integral ones, strings
+    and booleans are rejected rather than converted.  An empty order is not
+    a permutation of a nonempty range, whatever its dtype.
+    """
+    order = np.asarray(tour.order if isinstance(tour, Tour) else tour).ravel()
+    if order.size and not np.issubdtype(order.dtype, np.integer):
+        raise ValueError(f"tour order must hold integer vertex ids, not {order.dtype} values")
+    n = order.size if n is None else n
     if order.size != n or not np.array_equal(np.sort(order), np.arange(n)):
         raise ValueError(f"tour order is not a permutation of 0..{n - 1}")
-    return order
+    return order.astype(np.int64, copy=False)
 
 
 @dataclasses.dataclass
@@ -161,10 +171,9 @@ class Tour:
         metric: Metric | str | None = None,
     ) -> "Tour":
         """Validate a permutation and canonicalize its rotation."""
-        arr = np.asarray(order, dtype=np.int64).ravel()
+        arr = _tour_order(order)
         if arr.size < 3:
             raise ValueError("a tour needs at least three vertices")
-        _tour_order(arr, arr.size)
         shift = int(np.flatnonzero(arr == 0)[0])
         arr = np.roll(arr, -shift)
         token = Metric.parse(metric).value if metric is not None else None
@@ -796,42 +805,45 @@ class _RowSummaries:
     """One tour's kernel rows, summarized per row across the steps of its descent.
 
     P holds the tour's position matrix, with a leading tour axis of one.
-    Row i of the kernel (see _scan) has the summary cnt[i], the number of its
-    pairs with gain > eps, and, under the best pivot, top[i], its largest
-    gain: exact while cnt[i] > 0, and <= eps otherwise.  A row whose
-    summary is not known is invalid.  ``pick`` refreshes the invalid rows it
-    needs with the kernel and picks what _scan would pick, bit for bit.
-    ``reverse`` applies a change and invalidates or adjusts only the rows
-    whose gains it can move.
+    Row i of the kernel (see _scan) has one summary, summary[i], whose
+    meaning the pivot fixes: under best the row's largest gain, exact while
+    > eps; under first and random the number of its pairs with gain > eps.
+    A row whose summary is not known is invalid.  ``pick`` refreshes the
+    invalid rows it needs with the kernel and picks what _scan would pick,
+    bit for bit.  ``reverse`` applies a change and invalidates or adjusts
+    only the rows whose gains it can move.
     """
 
     def __init__(self, P: np.ndarray, pivot: str, eps: float):
         self.P, self.pivot, self.eps = P, pivot, eps
         self.el = P.diagonal(1, axis1=1, axis2=2)
         self.dists = _matrix_dists(P)
-        n = self.el.shape[1]
-        self.cnt = np.zeros(n - 2, dtype=np.int64)
-        self.top = np.full(n - 2, -np.inf)
-        self.valid = np.zeros(n - 2, dtype=bool)
+        self.summary = np.zeros(self.el.shape[1] - 2, dtype=float if pivot == "best" else np.int64)
+        self.valid = np.zeros(self.summary.size, dtype=bool)
+
+    def _holds(self, s):
+        """Whether summaries, or a count total, improve: > eps under best, > 0 otherwise."""
+        return s > (self.eps if self.pivot == "best" else 0)
+
+    def _reduce(self, g: np.ndarray, axis: int) -> np.ndarray:
+        """The summaries of a block of gains, one per row along the other axis."""
+        best = self.pivot == "best"
+        return g.max(axis=axis) if best else np.count_nonzero(g > self.eps, axis=axis)
 
     def _refresh(self, i0: int, i1: int) -> None:
-        g = _gains(self.el, self.dists, i0, i1, slice(None))[0]
-        self.cnt[i0:i1] = np.count_nonzero(g > self.eps, axis=1)
-        if self.pivot == "best":
-            self.top[i0:i1] = g.max(axis=1)
+        self.summary[i0:i1] = self._reduce(_gains(self.el, self.dists, i0, i1, slice(None))[0], 1)
         self.valid[i0:i1] = True
 
-    def _columns(self, r0: int, lo: int, hi: int):
-        """The summaries of rows r0..lo-1 over the columns lo..hi-1 alone: (cnt, top).
+    def _columns(self, r0: int, lo: int, hi: int) -> np.ndarray:
+        """The summaries of rows r0..lo-1 over the columns lo..hi-1 alone.
 
         The block is read transposed, one column of gains per row, so that it
         reduces over its short axis.  P is symmetric and _gain's first sum
         commutes, so every gain keeps the kernel's bits.
         """
         n, w = self.el.shape[1], hi - lo
-        e, P, eps, best = self.el[0], self.P[0], self.eps, self.pivot == "best"
-        cnt = np.empty(lo - r0, dtype=np.int64)
-        top = np.empty(lo - r0) if best else None
+        e, P = self.el[0], self.P[0]
+        out = np.empty(lo - r0, dtype=self.summary.dtype)
         step = max(1, _SCAN_BLOCK // w)
         for a in range(r0, lo, step):
             b = min(a + step, lo)
@@ -840,15 +852,13 @@ class _RowSummaries:
                 g[0, -1] = -np.inf  # (lo-1, lo) is adjacent
             if a == 0 and hi == n:
                 g[-1, 0] = -np.inf  # so is the closed tour's (0, n-1)
-            cnt[a - r0 : b - r0] = np.count_nonzero(g > eps, axis=0)
-            if best:
-                top[a - r0 : b - r0] = g.max(axis=0)
-        return cnt, top
+            out[a - r0 : b - r0] = self._reduce(g, 0)
+        return out
 
     def pick(self, rng) -> tuple[int, int, float] | None:
         """The pair (i, j, gain) _scan picks on the tour now, or None."""
-        cnt, valid, eps = self.cnt, self.valid, self.eps
-        rows, first = cnt.size, self.pivot == "first"
+        s, valid, eps = self.summary, self.valid, self.eps
+        rows, first = s.size, self.pivot == "first"
         # first refreshes in order up to its first improving row, in doubling
         # blocks as _scan's first pass does; best and random refresh every row
         budget = _SCAN_FIRST if first else _SCAN_BLOCK
@@ -856,7 +866,7 @@ class _RowSummaries:
         while k < rows:
             todo = ~valid[k:]
             if first:
-                todo |= cnt[k:] > 0
+                todo |= self._holds(s[k:])
             at = int(todo.argmax())
             if not todo[at]:
                 k = rows
@@ -874,17 +884,16 @@ class _RowSummaries:
                 return None
             i = k
         elif self.pivot == "best":
-            i = int(self.top.argmax())
-            if not self.top[i] > eps:
+            i = int(s.argmax())
+            if not self._holds(s[i]):
                 return None
         else:
-            total = int(cnt.sum())
-            if total == 0:
+            cum = np.cumsum(s)
+            if not self._holds(cum[-1]):
                 return None
-            r = int(rng.integers(total))
-            cum = np.cumsum(cnt)
+            r = int(rng.integers(cum[-1]))
             i = int(np.searchsorted(cum, r, side="right"))
-            r -= int(cum[i] - cnt[i])
+            r -= int(cum[i] - s[i])
         g = _gains(self.el, self.dists, i, i + 1, slice(None))[0, 0]
         if first:
             c = int((g > eps).argmax())
@@ -900,40 +909,41 @@ class _RowSummaries:
         An inner reversal of positions i+1..j moves the edges lo..hi-1, lo = i,
         hi = j+1: it invalidates rows lo..hi-1 and, in the rows below lo,
         changes the columns lo..hi-1 only, while every other gain keeps its
-        bits (its entries of P did not move).  A row below lo without
-        improving pairs takes the summary of its new columns; under first
-        every row below the picked one is such a row.  One with improving
-        pairs, under best and random, trades its old columns, taken before
-        the flip, for the new ones, and under best a row whose largest gain
-        sat in those columns and is not matched by the new ones is
-        invalidated.  The outer side and a change touching more than half the
-        pairs invalidate every row instead, which measured faster there.
+        bits (its entries of P did not move).  A row below lo takes in its
+        new columns: it adds their count, or under best keeps the larger
+        gain.  One with improving pairs first gives up its old columns, taken
+        before the flip: it subtracts their count, or under best it is
+        invalidated when its largest gain sat there and the new columns do
+        not match it.  Under first no row below the picked one improves.
+        The outer side and a change touching more than half the pairs
+        invalidate every row instead, which measured faster there.
         """
         n = order.size
         lo, hi = i, j + 1
         w = hi - lo
-        cnt, top, valid = self.cnt, self.top, self.valid
+        s, valid = self.summary, self.valid
         if 2 * (j - i) > n or 2 * w * (2 * n - w - 3) > n * (n - 3):
             valid[:] = False
             return _reverse_segment(order, i, j, self.P[0])
         valid[lo:hi] = False
         if lo == 0:
             return _reverse_segment(order, i, j, self.P[0])
-        hit = cnt[:lo] > 0
+        hit = self._holds(s[:lo])
         r0 = int(hit.argmax())
         keep = bool(hit[r0])
         if keep:
-            old_cnt, old_top = self._columns(r0, lo, hi)
+            old = self._columns(r0, lo, hi)
         added = _reverse_segment(order, i, j, self.P[0])
-        new_cnt, new_top = self._columns(0, lo, hi)
-        if keep:
-            cnt[r0:lo] -= old_cnt
-        cnt[:lo] += new_cnt
+        new = self._columns(0, lo, hi)
         if self.pivot == "best":
             if keep:
-                t = top[r0:lo]
-                valid[r0:lo] &= ~(hit[r0:] & (old_top == t) & (new_top[r0:] < t))
-            top[:lo] = np.where(hit, np.maximum(top[:lo], new_top), new_top)
+                t = s[r0:lo]
+                valid[r0:lo] &= ~(hit[r0:] & (old == t) & (new[r0:] < t))
+            np.maximum(s[:lo], new, out=s[:lo])
+        else:
+            if keep:
+                s[r0:lo] -= old
+            s[:lo] += new
         return added
 
 

@@ -6,17 +6,20 @@ replay a seeded corpus through both and require identical (i, j, gain)
 sequences, identical certifier verdicts and identical tours, bit for bit,
 at the kernel's block sizes and at tiny ones that split small instances
 into many blocks.  A run above one block keeps row summaries across its
-steps.  Its changes must be the reference loops' at the default block size
-(n = 260, with ties on a grid) and in tiny blocks at coordinates so large
-that the adjacent pairs' rounding residues exceed eps.  They must also be
-those of a batch of two, which moves by gathers and rescans every pair, and
-the undo guard must fire on that path too.  The engine's position matrix
-must follow every applied change exactly, and a run must hold no more than
-one such matrix, whatever its start and pivot.  The coordinate scans
-evaluate only KD-tree ball candidates on sparse tours; forced onto that
-path and onto the blocked kernel, they must both match the reference loops
-and each other, random draws included, and the certifier's gain must be
-two_change_gain of its edges.  The candidates must hold every pair on or
+steps; after every pick and reverse each known row's summary must be what a
+fresh kernel pass over the row gives (the largest gain under best, the
+count of improving pairs otherwise).  Its changes must be the reference
+loops' at the default block size (n = 260, with ties on a grid) and in tiny
+blocks at coordinates so large that the adjacent pairs' rounding residues
+exceed eps.  They must also be those of a batch of two, which moves by
+gathers and rescans every pair, and the undo guard must fire on that path
+too.  The engine's position matrix must follow every applied change
+exactly, and a run must hold no more than one such matrix, whatever its
+start and pivot.  The coordinate scans evaluate only KD-tree ball
+candidates on sparse tours; forced onto that path and onto the blocked
+kernel, they must both match the reference loops and each other, random
+draws included, and the certifier's gain must be two_change_gain of its
+edges.  The candidates must hold every pair on or
 inside a ball whatever the radius classes (radii over many binary
 exponents, a radius exactly a power of two, a subnormal tau), and the lb
 row's designated tour must certify on its candidates alone.  Coordinates
@@ -196,6 +199,63 @@ def test_runs_above_one_block_match_reference_scans(layout, metric, init, pivot)
     changes, final_order = scan_oracle.run_two_opt(pts, metric, init, pivot, 1e-12, 3)
     assert rec.changes == changes
     assert rec.final_order == [int(v) for v in final_order]
+
+
+def _check_row_summaries(monkeypatch):
+    """After every pick and reverse, each known row's summary must be the
+    one a fresh kernel pass over the row gives: under best the row's largest
+    gain while that is > eps (and <= eps otherwise), under first and random
+    its count of gains > eps.  Returns the number of rows checked per pivot."""
+    checked = collections.Counter()
+    summaries = twoptlab.tour._RowSummaries
+
+    def check(self):
+        for i in np.flatnonzero(self.valid):
+            g = twoptlab.tour._gains(self.el, self.dists, i, i + 1, slice(None))[0, 0]
+            got, top = self.summary[i], g.max()
+            if self.pivot != "best":
+                assert got == np.count_nonzero(g > self.eps), i
+            elif top > self.eps:
+                assert got == top, i
+            else:
+                assert got <= self.eps, i
+        checked[self.pivot] += int(self.valid.sum())
+
+    def hook(name):
+        method = getattr(summaries, name)
+
+        def hooked(self, *args):
+            out = method(self, *args)
+            check(self)
+            return out
+        monkeypatch.setattr(summaries, name, hooked)
+
+    hook("pick")
+    hook("reverse")
+    return checked
+
+
+@pytest.mark.parametrize("layout", ["uniform", "grid"])
+@pytest.mark.parametrize("init", ["nn", "random"])
+def test_row_summaries_match_fresh_kernel_rows(monkeypatch, layout, init):
+    # the first steps of each run: from a random start most reversals are
+    # inner ones that trade columns, and under best some invalidate a row
+    checked = _check_row_summaries(monkeypatch)
+    if layout == "grid":
+        pts = make_origins("grid", BIG, 2, 3)
+    else:
+        pts = perturb(make_origins("uniform", BIG, 2, 3), 0.3, 3).points
+    for pivot in PIVOTS:
+        run_two_opt(pts, "l2", init=init, pivot=pivot, seed=3, max_iter=40)
+    assert min(checked[pivot] for pivot in PIVOTS) > 0, checked
+
+
+def test_row_summaries_in_tiny_blocks_match_fresh_kernel_rows(tiny_blocks, monkeypatch):
+    checked = _check_row_summaries(monkeypatch)
+    for n, seed, pts in _corpus(range(1)):
+        for pivot, init in itertools.product(PIVOTS, ("nn", "random")):
+            run_two_opt(pts, "l2", init=init, pivot=pivot, seed=seed)
+    assert min(checked[pivot] for pivot in PIVOTS) > 0, checked
 
 
 def _check_find_improving(metric):
@@ -649,8 +709,9 @@ def test_nearest_neighbor_start_matches_dense_walk(metric):
 
 def test_live_set_compacts_without_changing_the_walk(monkeypatch):
     # a walk computes each row against its live points only and compacts
-    # them once more than an eighth are dead, so row k holds at least the
-    # 63 - k live points and well under twice as many
+    # them once more than an eighth are dead, so row k holds the 63 - k live
+    # points and at most a seventh as many dead ones (a half rule would let
+    # row 31 hold 64 entries for its 32 live points)
     lengths = []
 
     def row(metric, x, y=None):
@@ -663,7 +724,7 @@ def test_live_set_compacts_without_changing_the_walk(monkeypatch):
         lengths.clear()
         order, keys = _nn_walk(pts, "l2", tree)
         assert len(lengths) == len(keys) == 63
-        assert all(63 - k <= size <= 2 * (63 - k) for k, size in enumerate(lengths))
+        assert all(63 - k <= size and 7 * size <= 8 * (63 - k) for k, size in enumerate(lengths))
         assert sorted(order) == list(range(64))
     monkeypatch.undo()
     assert _nn_walk(pts, "l2")[0] == scan_oracle.nn_walk(pts, "l2")

@@ -77,6 +77,16 @@ def test_non_tours_are_rejected():
         tour_length(other, pts)
     with pytest.raises(ValueError, match="permutation"):
         find_improving(other, pts)
+    # vertex ids must be integers: a float, fractional or integral, or a
+    # string is refused, not truncated or parsed into a vertex
+    pts = make_origins("uniform", 6, 2, 0)
+    for order in ([0, 2.9, 1, 3, 4, 5], [0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [str(v) for v in range(6)]):
+        with pytest.raises(ValueError, match="integer vertex ids"):
+            tour_length(order, pts)
+        with pytest.raises(ValueError, match="integer vertex ids"):
+            certify_two_optimality(pts, order)
+        with pytest.raises(ValueError, match="integer vertex ids"):
+            Tour.from_order(order)
 
 
 def test_certify_keeps_the_callers_positions():
