@@ -189,9 +189,9 @@ _EXPERIMENT_KEYS = {
 
 
 def parse_config(text: str) -> SweepConfig:
-    """Parse the flat key=value format; reject unknown or repeated keys and
-    keys the config's experiment does not read."""
-    raw: dict[str, str] = {}
+    """Parse the flat key=value format; reject unknown or repeated keys, values
+    that do not parse (by line and key) and keys the experiment does not read."""
+    cfg, seen = SweepConfig(), set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -203,38 +203,38 @@ def parse_config(text: str) -> SweepConfig:
         value = value.split("#", 1)[0].strip()
         if key not in _KNOWN_KEYS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        if key in raw:
+        if key in seen:
             raise ValueError(f"config line {lineno}: repeated key {key!r}")
-        raw[key] = value
-
-    cfg = SweepConfig()
-    for key, value in raw.items():
-        if key in _LIST_KEYS:
-            parts = [v.strip() for v in value.split(",") if v.strip()]
-            if not parts:
-                raise ValueError(f"config key {key!r} has an empty list")
-            if key == "n":
-                cfg.n = tuple(int(v) for v in parts)
-            elif key == "sigma":
-                cfg.sigma = tuple(float(v) for v in parts)
+        seen.add(key)
+        try:
+            if key in _LIST_KEYS:
+                parts = [v.strip() for v in value.split(",") if v.strip()]
+                if not parts:
+                    raise ValueError("empty list")
+                if key == "n":
+                    cfg.n = tuple(int(v) for v in parts)
+                elif key == "sigma":
+                    cfg.sigma = tuple(float(v) for v in parts)
+                else:
+                    setattr(cfg, key, tuple(parts))
+            elif key in ("dim", "seeds", "base_seed"):
+                setattr(cfg, key, int(value))
+            elif key == "eps":
+                cfg.eps = float(value)
+            elif key == "max_iter":
+                cfg.max_iter = None if value in ("", "none") else int(value)
+            elif key == "linked":
+                if value not in ("true", "false"):
+                    raise ValueError(f"must be true or false, got {value!r}")
+                cfg.linked = value == "true"
+            elif key in ("p", "t"):
+                setattr(cfg, key, None if value in ("", "none", "default") else int(value))
             else:
-                setattr(cfg, key, tuple(parts))
-        elif key in ("dim", "seeds", "base_seed"):
-            setattr(cfg, key, int(value))
-        elif key == "eps":
-            cfg.eps = float(value)
-        elif key == "max_iter":
-            cfg.max_iter = None if value in ("", "none") else int(value)
-        elif key == "linked":
-            if value not in ("true", "false"):
-                raise ValueError(f"config key 'linked' must be true or false, got {value!r}")
-            cfg.linked = value == "true"
-        elif key in ("p", "t"):
-            setattr(cfg, key, None if value in ("", "none", "default") else int(value))
-        else:
-            setattr(cfg, key, value)
+                setattr(cfg, key, value)
+        except ValueError as exc:
+            raise ValueError(f"config line {lineno}: key {key!r}: {exc}") from None
     cfg.validate()
-    unread = sorted(set(raw) - _EXPERIMENT_KEYS[cfg.experiment])
+    unread = sorted(seen - _EXPERIMENT_KEYS[cfg.experiment])
     if unread:
         raise ValueError(f"{cfg.experiment} sweeps do not read the config keys {unread}")
     return cfg

@@ -286,8 +286,9 @@ def _path_two_opt(pts: np.ndarray, path: list[int], eps: float) -> list[int]:
 
     The distances come from one ``_pairwise`` matrix over the path's points,
     computed once: ``perm`` maps each path position to its matrix row, a
-    reversal reverses only ``perm``, and each kernel block gathers its d13
-    and d24 from the matrix, its rows and then their columns.  The entries
+    reversal reverses only ``perm``, and each kernel block is one gather
+    from the matrix, the rows of its positions and then their columns, from
+    which the kernel reads d13 and d24 one step apart.  The entries
     are vec_dist's, and the matrix is symmetric, so the gains are those from
     coordinates, bit for bit.
     """
@@ -296,14 +297,13 @@ def _path_two_opt(pts: np.ndarray, path: list[int], eps: float) -> list[int]:
     perm = np.arange(ids.size)
     row, applied = 0, False
     while True:
-        a, b = perm[row:-1], perm[row + 1 :]
+        at = perm[row:]
 
         def dists(i0: int, i1: int, c0: int, ts):
             # whole rows first, then their columns: faster than one 2-D gather
-            return (D.take(a[i0:i1], axis=0).take(a[c0:], axis=1),
-                    D.take(b[i0:i1], axis=0).take(b[c0:], axis=1))
+            return D.take(at[i0 : i1 + 1], axis=0).take(at[c0:], axis=1)
 
-        hit = _scan("first", eps, D[a, b][None], dists, closed=False)[0]
+        hit = _scan("first", eps, D[at[:-1], at[1:]][None], dists, closed=False)[0]
         if hit is None:
             if not applied:
                 return [int(v) for v in ids[perm]]

@@ -9,7 +9,9 @@ between.  Its gain is positive when the tour gets shorter.
 One gain kernel serves every scan: row i holds the gains of the pairs
 (i, j), j >= i+2, skipping the adjacent wrap-around pair (0, n-1) on a
 closed tour.  The kernel computes a block of rows at once, about
-``_SCAN_BLOCK`` gains, as one ``geometry._gain`` call; the pivot rules are
+``_SCAN_BLOCK`` gains, as one ``geometry._gain`` call over one block of
+distances between tour positions, whatever their source: the pair (i, j)
+reads d13 and d24 at its entries (i, j) and (i+1, j+1).  The pivot rules are
 one reduction, ``_pick``, over the blocks in row-major (lexicographic) order:
 
 * ``first``  -- the first pair with gain > eps (its blocks start small and
@@ -21,8 +23,8 @@ one reduction, ``_pick``, over the blocks in row-major (lexicographic) order:
 The engine's descent, ``_descend``, runs a batch of tours in lockstep.
 It computes each tour's (n+1) x (n+1) position matrix,
 P[a, b] = d(order[a % n], order[b % n]), from the tour-ordered points.  The
-tour's edge lengths are its first superdiagonal and the kernel's distance
-blocks are plain slices of it, with a leading tour axis, so one kernel pass
+tour's edge lengths are its first superdiagonal and each kernel block's
+distances are one slice of it, with a leading tour axis, so one kernel pass
 scans every live tour of the batch.  Each step retires the tours with no
 improving pair and applies one change to each of the others.  The descent
 picks its step path once, from the batch's shape.  A larger batch moves
@@ -547,14 +549,13 @@ def _scan(pivot: str, eps: float, el: np.ndarray, dists,
           closed: bool = True, rngs=(None,)):
     """Per tour, the pair (i, j, gain) the pivot rule picks among gains > eps, or None.
 
-    Edge k of tour t has length el[t, k]; the pair (i, j), i+2 <= j <
-    el.shape[1], has gain _gain(el[t, i], el[t, j], d13, d24), where
-    ``dists(i0, i1, c0, ts)`` gives the blocks d13 and d24 of the tours ts
-    for the pairs with rows i0..i1-1 and columns c0.. (the distances between
-    the first and between the second endpoints of the two edges; a block
-    without the tour axis serves every tour).  On a closed tour the adjacent
-    pair (0, last) is left out.  The row blocks of _blocks are reduced by
-    _pick, with one generator per tour in ``rngs``.
+    Edge k of tour t, from position k to k+1, has length el[t, k]; the pair
+    (i, j), i+2 <= j < m = el.shape[1], has gain _gain(el[t, i], el[t, j],
+    d13, d24), d13 = d(i, j) and d24 = d(i+1, j+1) between positions.  The
+    block ``dists(i0, i1, c0, ts)`` of the tours ts holds the distances
+    between positions i0..i1 and c0..m (a block without the tour axis serves
+    every tour).  On a closed tour the pair (0, last) is left out.  _pick
+    reduces the row blocks of _blocks, with one generator per tour in rngs.
     """
     m = el.shape[1]
 
@@ -572,7 +573,7 @@ def _gains(el: np.ndarray, dists, i0: int, i1: int, ts, closed: bool = True) -> 
     tour axis first, with -inf where a row has no pair."""
     c0 = i0 + 2
     e = el[ts]
-    g = _gain(e[:, i0:i1, None], e[:, None, c0:], *dists(i0, i1, c0, ts))
+    g = _block_gains(e[:, i0:i1, None], e[:, None, c0:], dists(i0, i1, c0, ts))
     rows = i1 - i0
     np.copyto(g[:, :, :rows], -np.inf, where=_BELOW[:rows, :rows])
     if closed and i0 == 0:
@@ -580,12 +581,14 @@ def _gains(el: np.ndarray, dists, i0: int, i1: int, ts, closed: bool = True) -> 
     return g
 
 
-def _coord_dists(a: np.ndarray, b: np.ndarray, metric):
-    """Kernel blocks from coordinates: edge k runs from point a[k] to point b[k]."""
-    def dists(i0: int, i1: int, c0: int, ts):
-        return (vec_dist(a[i0:i1, None], a[None, c0:], metric),
-                vec_dist(b[i0:i1, None], b[None, c0:], metric))
-    return dists
+def _block_gains(el_rows, el_cols, E: np.ndarray) -> np.ndarray:
+    """The gains of a block of pairs: d13 = E[..., r, c] and d24 = E[..., r+1, c+1]."""
+    return _gain(el_rows, el_cols, E[..., :-1, :-1], E[..., 1:, 1:])
+
+
+def _coord_dists(q: np.ndarray, metric):
+    """Kernel blocks from the closed point list q, q[n] = q[0]: one vec_dist call each."""
+    return lambda i0, i1, c0, ts: vec_dist(q[i0 : i1 + 1, None], q[None, c0:], metric)
 
 
 def _ball_keys(p: np.ndarray, pn: np.ndarray, el: np.ndarray, metric) -> np.ndarray | None:
@@ -644,15 +647,15 @@ def _scan_points(p: np.ndarray, metric, pivot: str, eps: float, rng=None):
     gains, in key (lexicographic) order, are one block for _pick, so the
     pick and the random draw are _scan's.
     """
-    pn = np.roll(p, -1, axis=0)
-    el = vec_dist(p, pn, metric)
-    keys = _ball_keys(p, pn, el, metric)
+    q = np.concatenate((p, p[:1]))
+    el = vec_dist(q[:-1], q[1:], metric)
+    keys = _ball_keys(q[:-1], q[1:], el, metric)
     if keys is None:
-        return _scan(pivot, eps, el[None], _coord_dists(p, pn, metric), rngs=(rng,))[0]
+        return _scan(pivot, eps, el[None], _coord_dists(q, metric), rngs=(rng,))[0]
     if keys.size == 0:
         return None
     i, j = np.divmod(keys, el.size)
-    g = _gain(el[i], el[j], vec_dist(p[i], p[j], metric), vec_dist(pn[i], pn[j], metric))
+    g = _gain(el[i], el[j], vec_dist(q[i], q[j], metric), vec_dist(q[i + 1], q[j + 1], metric))
     return _pick(pivot, eps, (g[None],), lambda b, ts: b[ts],
                  lambda b, k: (int(i[k]), int(j[k])), (rng,))[0]
 
@@ -780,8 +783,6 @@ def apply_two_change(tour: Tour, change: TwoChange) -> Tour:
     i, j = edge_position(e1), edge_position(e2)
     if i > j:
         i, j = j, i
-    if i == j or j == i + 1 or (i == 0 and j == n - 1):
-        raise ValueError(f"removed edges {change.removed} are adjacent in the tour")
     produced = {frozenset(e) for e in _make_change(order, i, j, change.gain).added}
     if produced != {frozenset(e) for e in change.added}:
         raise ValueError(
@@ -796,9 +797,8 @@ def apply_two_change(tour: Tour, change: TwoChange) -> Tour:
 
 
 def _matrix_dists(P: np.ndarray):
-    """Kernel blocks from a stack of (n+1) x (n+1) position matrices: plain slices."""
-    n = P.shape[-1] - 1
-    return lambda i0, i1, c0, ts: (P[ts, i0:i1, c0:n], P[ts, i0 + 1 : i1 + 1, c0 + 1 :])
+    """Kernel blocks from a stack of (n+1) x (n+1) position matrices: one slice of P each."""
+    return lambda i0, i1, c0, ts: P[ts, i0 : i1 + 1, c0:]
 
 
 class _RowSummaries:
@@ -847,7 +847,7 @@ class _RowSummaries:
         step = max(1, _SCAN_BLOCK // w)
         for a in range(r0, lo, step):
             b = min(a + step, lo)
-            g = _gain(e[lo:hi, None], e[a:b], P[lo:hi, a:b], P[lo + 1 : hi + 1, a + 1 : b + 1])
+            g = _block_gains(e[lo:hi, None], e[a:b], P[lo : hi + 1, a : b + 1])
             if b == lo:
                 g[0, -1] = -np.inf  # (lo-1, lo) is adjacent
             if a == 0 and hi == n:

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -423,6 +424,25 @@ def test_lb_build_large_p_with_sigma_exits_1(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["run"], ["exact"], ["lb", "certify"], ["lb", "ratio"]])
+def test_output_file_holds_the_printed_bytes(tmp_path, capsys, monkeypatch, argv):
+    # exact reports its solve time; a stopped clock makes the two calls agree
+    monkeypatch.setattr(twoptlab.exact, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
+    path = tmp_path / "inst.json"
+    if argv[0] == "lb":
+        assert run_cli("lb", "build", "--p", "3", "--t", "1", "--sigma", "1e-4",
+                       "--seed", "2", "-o", str(path)) == EXIT_OK
+    else:
+        assert run_cli("gen", "--n", "8", "--sigma", "0.3", "--seed", "5",
+                       "-o", str(path)) == EXIT_OK
+    assert run_cli(*argv, "--instance", str(path)) == EXIT_OK
+    printed = capsys.readouterr().out
+    out = tmp_path / "out.json"
+    assert run_cli(*argv, "--instance", str(path), "-o", str(out)) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == printed.encode()
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -431,6 +451,18 @@ def test_verify_chi_fast(capsys):
     assert run_cli("verify", "--suite", "chi", "--samples", "0") == EXIT_OK
     out = capsys.readouterr().out
     assert "9/9 checks passed: PASS" in out
+
+
+def test_verify_failed_check_exits_2(capsys, monkeypatch):
+    def failing(samples, seed):
+        return [harness._check("forced", 2.0, 1.0)]
+
+    monkeypatch.setitem(harness.VERIFY_SUITES, "chi", (failing, 10**6))
+    assert run_cli("verify", "--suite", "chi", "--samples", "0") == EXIT_VERIFICATION
+    captured = capsys.readouterr()
+    assert "forced: statistic=2 bound=1 slack=0 FAIL" in captured.out
+    assert "0/1 checks passed: FAIL" in captured.out
+    assert captured.err == "verification failed: verify suite 'chi' failed\n"
 
 
 def test_verify_unknown_suite():

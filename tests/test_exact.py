@@ -16,6 +16,7 @@ from twoptlab import (
     perturb,
     tour_length,
 )
+from twoptlab.exact import OVERFLOW_BIN
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -186,6 +187,13 @@ def test_histogram_boundary_goes_to_smaller_bin():
     assert by_bin[3][1] == 2
     total_all = sum(t for t, _ in by_bin.values())
     assert total_all == pytest.approx(6.0)
+
+
+def test_histogram_zero_length_edge_goes_to_overflow_bin():
+    # two coincident points; OPT = 2 + sqrt(2), so the other edges land in bin 2
+    pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
+    bins = edge_length_histogram([0, 1, 2, 3], pts, "l2")
+    assert bins == [(2, 2.0 + math.sqrt(2.0), 3), (OVERFLOW_BIN, 0.0, 1)]
 
 
 def test_histogram_rejects_nonpositive_opt():

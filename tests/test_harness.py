@@ -3,6 +3,7 @@
 import concurrent.futures
 import math
 import os
+import re
 import threading
 import time
 
@@ -104,6 +105,24 @@ def test_parse_config_validates_values():
         parse_config("experiment = lb\np = 3\nsigma = 1e-4\nmetric = l1\npivot = best\nn = 7\n")
     with pytest.raises(ValueError, match=r"\['p', 't'\]"):
         parse_config("n = 8\nsigma = 0.1\np = 3\nt = 1\n")
+    # an unread key at its default value leaves the config as it was
+    with pytest.raises(ValueError, match=r"lb sweeps do not read the config keys \['metric'\]"):
+        parse_config("experiment = lb\np = 3\nt = 1\nsigma = 1e-4\nmetric = l2\n")
+    for text, message in [
+        ("experiment = tsp\nn = 8\nsigma = 0.1\n", "unknown experiment 'tsp'"),
+        ("n = 8\nsigma = 0.1\nseeds = 0\n", "seeds must be >= 1"),
+        ("n = 8\nsigma = 0.1\nbase_seed = -1\n", "base_seed must be >= 0"),
+        ("n = 8\nsigma = 0.1\norigins = sphere\n", "unknown origins rule 'sphere'"),
+        ("n = 8\nsigma = 0.1\nratio = maybe\n", "unknown ratio mode 'maybe'"),
+        ("n = 8\nsigma = 0.1\ndelta_min = often\n", "unknown delta_min mode 'often'"),
+        ("experiment = lb\np = 3\n", "lb sweep needs sigma"),
+        # a value that does not parse names its line and key
+        ("n = 8.5\nsigma = 0.1\n", "config line 1: key 'n': invalid literal for int"),
+        ("n = 8\nsigma = 0.1\nseeds = 2.0\n", "config line 3: key 'seeds': invalid literal"),
+        ("n = 8\nsigma = abc\n", "config line 2: key 'sigma': could not convert"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_config(text)
 
 
 @pytest.mark.parametrize("cfg", [

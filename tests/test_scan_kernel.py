@@ -19,7 +19,8 @@ start and pivot.  The coordinate scans evaluate only KD-tree ball
 candidates on sparse tours; forced onto that path and onto the blocked
 kernel, they must both match the reference loops and each other, random
 draws included, and the certifier's gain must be two_change_gain of its
-edges.  The candidates must hold every pair on or
+edges; on the blocked kernel they compute one vec_dist block per kernel
+block.  The candidates must hold every pair on or
 inside a ball whatever the radius classes (radii over many binary
 exponents, a radius exactly a power of two, a subnormal tau), and the lb
 row's designated tour must certify on its candidates alone.  Coordinates
@@ -446,6 +447,26 @@ def test_ball_candidates_hold_every_pair_on_or_inside_a_ball(pruned_scans, metri
             inside = (vec_dist(p[i], p[j], metric) <= el[i]) | (vec_dist(pn[i], pn[j], metric) <= el[j])
             keys = twoptlab.tour._ball_keys(p, pn, el, metric)
             assert np.isin((i * n + j)[inside], keys).all(), name
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_dense_certify_computes_one_distance_block_per_kernel_block(monkeypatch, d):
+    # a random tour's long edges make the ball filter decline it; the
+    # kernel then reads d13 and d24 of each block from one vec_dist block
+    calls = []
+
+    def counted(a, b, metric):
+        calls.append(np.broadcast_shapes(np.shape(a), np.shape(b)))
+        return vec_dist(a, b, metric)
+
+    monkeypatch.setattr(twoptlab.tour, "vec_dist", counted)
+    n = 600
+    pts = make_origins("uniform", n, d, 1)
+    order = np.random.default_rng(1).permutation(n)
+    assert certify_two_optimality(pts, order, "l2") is not None
+    blocks = list(twoptlab.tour._blocks(n, twoptlab.tour._SCAN_BLOCK))
+    assert len(blocks) > 1
+    assert calls == [(n, d)] + [(i1 - i0 + 1, n - i0 - 1, d) for i0, i1 in blocks]
 
 
 def test_certify_convex_position_without_the_blocked_kernel(monkeypatch):

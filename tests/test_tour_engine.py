@@ -251,10 +251,31 @@ def test_apply_two_change_rejects_absent_edges():
 
 
 def test_apply_two_change_rejects_adjacent_edges():
+    # edges at adjacent positions, at positions 0 and n-1, or at one position
+    # share a vertex
     t = Tour.from_order([0, 1, 2, 3, 4], metric="l2")
-    degenerate = TwoChange(removed=((0, 1), (1, 2)), added=((0, 1), (1, 2)), gain=0.0)
-    with pytest.raises(ValueError):
-        apply_two_change(t, degenerate)
+    for removed in (((0, 1), (1, 2)), ((4, 0), (0, 1)), ((2, 3), (3, 2))):
+        degenerate = TwoChange(removed=removed, added=removed, gain=0.0)
+        with pytest.raises(ValueError, match="not disjoint"):
+            apply_two_change(t, degenerate)
+
+
+def test_apply_two_change_reads_edges_in_either_direction_and_order():
+    t = Tour.from_order([0, 1, 2, 3, 4, 5], metric="l2")
+    want = apply_two_change(t, TwoChange(removed=((0, 1), (3, 4)), added=((0, 3), (1, 4)), gain=0.5))
+    assert want.order.tolist() == [0, 3, 2, 1, 4, 5] and want.cached_length is None
+    for e1, e2 in itertools.product(((0, 1), (1, 0)), ((3, 4), (4, 3))):
+        for removed, added in (((e1, e2), ((0, 3), (1, 4))), ((e2, e1), ((4, 1), (3, 0)))):
+            got = apply_two_change(t, TwoChange(removed=removed, added=added, gain=0.5))
+            assert np.array_equal(got.order, want.order), removed
+    for removed, added, message in [
+        (((0, 1), (3, 6)), ((0, 3), (1, 6)), "outside the tour"),
+        (((-1, 0), (2, 3)), ((-1, 2), (0, 3)), "outside the tour"),
+        (((0, 1), (3, 4)), ((0, 4), (1, 3)), "do not reconnect"),
+        (((0, 1), (3, 4)), ((0, 3), (1, 5)), "do not reconnect"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            apply_two_change(t, TwoChange(removed=removed, added=added, gain=0.5))
 
 
 # ---------------------------------------------------------------------------
