@@ -36,7 +36,7 @@ from .exact import HELD_KARP_MAX_N, _ratio, _upper_bound, estimate_two_opt_max, 
 from .geometry import Metric
 from .layered import _certificate, _sized_params, build_layered
 from .stochastic import (
-    ORIGIN_RULES,
+    _check_origins,
     _check_sigma,
     _gaussian_batch,
     chi_inverse_moment,
@@ -153,8 +153,8 @@ class SweepConfig:
                 raise ValueError("two_opt sweep needs sigma = ...")
             if min(self.n) < 4:
                 raise ValueError("two_opt sweep needs n >= 4")
-            if self.dim < 1:
-                raise ValueError(f"dim must be >= 1, got {self.dim}")
+            for n in self.n:
+                _check_origins(self.origins, n, self.dim)
             for s in self.sigma:
                 _check_sigma(s)
             for m in self.metric:
@@ -163,8 +163,6 @@ class SweepConfig:
                 _check_pivot(pv)
             for ini in self.init:
                 _rule_token(ini)
-            if self.origins not in ORIGIN_RULES:
-                raise ValueError(f"unknown origins rule {self.origins!r}")
             if self.ratio not in ("auto", "exact", "bound", "none"):
                 raise ValueError(f"unknown ratio mode {self.ratio!r}")
             if self.ratio == "exact" and max(self.n) > HELD_KARP_MAX_N:

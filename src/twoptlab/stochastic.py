@@ -52,16 +52,33 @@ MAX_SIGMA = 1.0  # convention: sigma above this needs an explicit override
 ORIGIN_RULES = ("uniform", "grid", "single-point")  # the layouts of make_origins
 
 
+_MAX_COORDINATES = 2**24  # n * dim of make_origins; 8x the largest layered instance's
+
+
 def _check_sigma(sigma: float, allow_large_sigma: bool = False) -> None:
     """The perturbation-strength rule: finite, >= 0 and, unless overridden, <= MAX_SIGMA."""
+    if not math.isfinite(sigma):
+        raise ValueError(f"sigma must be finite, got {sigma}")
     if sigma < 0.0:
         raise ValueError(f"sigma must be non-negative, got {sigma}")
     if sigma > MAX_SIGMA and not allow_large_sigma:
         raise ValueError(
             f"sigma={sigma} exceeds {MAX_SIGMA}; pass allow_large_sigma=True to override"
         )
-    if not math.isfinite(sigma):
-        raise ValueError(f"sigma must be finite, got {sigma}")
+
+
+def _check_origins(rule: str, n: int, dim: int) -> None:
+    """make_origins' rule for its arguments, checked before anything is allocated."""
+    if n < 1:
+        raise ValueError(f"need n >= 1 origins, got {n}")
+    if dim < 1:
+        raise ValueError(f"need dim >= 1, got {dim}")
+    if n * dim > _MAX_COORDINATES:
+        raise ValueError(
+            f"n={n} points in dim={dim} are {n * dim} coordinates, over {_MAX_COORDINATES}"
+        )
+    if rule not in ORIGIN_RULES:
+        raise ValueError(f"unknown origins rule {rule!r}")
 
 
 def _json_object(data, keys: tuple[str, ...], what: str) -> None:
@@ -260,18 +277,14 @@ def one_step_sample(spec: OneStepSpec, n: int, seed: int) -> Instance:
 def make_origins(rule: str, n: int, dim: int, seed: int) -> np.ndarray:
     """Origin layouts used by the CLI and the experiment harness.
 
-    Rules: "uniform" (i.i.d. uniform in [0,1]^d), "grid" (the first n nodes of
-    the smallest k^d lattice with k^d >= n, scaled to span [0,1]^d), and
+    Rules: "uniform" (i.i.d. uniform in [0,1]^d), "grid" (the first n nodes, in
+    C order, of the smallest k^d lattice with k^d >= n, scaled to span [0,1]^d), and
     "single-point" (all origins at the cube center).  The uniform rule draws
     from default_rng(SeedSequence([seed, 1])) so it never shares a stream with
-    the perturbation noise for the same seed.
+    the perturbation noise for the same seed.  More than 2^24 coordinates
+    (n * dim) raise ValueError.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1 origins, got {n}")
-    if dim < 1:
-        raise ValueError(f"need dim >= 1, got {dim}")
-    if rule not in ORIGIN_RULES:
-        raise ValueError(f"unknown origins rule {rule!r}")
+    _check_origins(rule, n, dim)
     if rule == "uniform":
         rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
         return rng.random((n, dim))
@@ -279,10 +292,15 @@ def make_origins(rule: str, n: int, dim: int, seed: int) -> np.ndarray:
         k = 1
         while k**dim < n:
             k += 1
-        axes = [np.linspace(0.0, 1.0, k) if k > 1 else np.array([0.5]) for _ in range(dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
-        return pts[:n].copy()
+        # node i's lattice indices are its base-k digits, the last axis fastest
+        digits = np.zeros((n, dim), dtype=np.int64)
+        rest = np.arange(n)
+        for axis in range(dim - 1, -1, -1):
+            if not rest.any():
+                break
+            digits[:, axis], rest = rest % k, rest // k
+        axis_values = np.linspace(0.0, 1.0, k) if k > 1 else np.array([0.5])
+        return axis_values[digits]
     return np.full((n, dim), 0.5)
 
 

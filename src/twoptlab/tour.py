@@ -90,7 +90,9 @@ The second half implements the linked-pair taxonomy for sequences of applied
 2-changes (an edge added by one change and removed by another): pairs sharing
 all four vertices (type 2), five vertices (type 1a/1b, split by whether the
 second change also re-creates an edge the first removed), or six (type 0),
-plus a counter for large sets of pairwise change-disjoint pairs of type 0/1.
+plus a counter for large sets of pairwise change-disjoint pairs of type 0/1:
+a lexicographic greedy matching, or an exact maximum matching, solved as a
+0/1 program by scipy's HiGHS, which may return any maximum matching.
 """
 
 from __future__ import annotations
@@ -1182,6 +1184,24 @@ def linked_pair_bound(t: int, n: int) -> int:
     return math.ceil(t / 7 - 3 * n / 28)
 
 
+def _max_matching(t: int, pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """A largest set of the pairs over changes 0..t-1 with each change in at
+    most one, sorted: the 0/1 program that maximizes the number of chosen
+    pairs, solved to optimality by HiGHS (``scipy.optimize.milp``)."""
+    if not pairs:
+        return []
+    from scipy.optimize import milp
+    from scipy.sparse import csr_array
+
+    k = len(pairs)  # member[c, p] = 1 when change c is in pair p
+    member = csr_array((np.ones(2 * k), (np.ravel(pairs), np.repeat(np.arange(k), 2))), (t, k))
+    res = milp(-np.ones(k), integrality=1, bounds=(0, 1), constraints=(member, 0, 1),
+               options={"mip_rel_gap": 0})
+    if res.status != 0:
+        raise RuntimeError(f"HiGHS found no optimal matching: {res.message}")
+    return sorted(pairs[c] for c in np.flatnonzero(res.x > 0.5))
+
+
 def count_disjoint_linked_pairs(
     changes: Sequence[TwoChange],
     n: int | None = None,
@@ -1195,10 +1215,12 @@ def count_disjoint_linked_pairs(
     pairs.  A lexicographic greedy matching is used by default; when ``n`` is
     given, the greedy result falls short of the guaranteed bound and the
     sequence is short (len(changes) <= exhaustive_limit), an exact
-    maximum-cardinality matching is computed instead.  method="greedy" or
-    "exact" forces one strategy.
+    maximum-cardinality matching is computed instead, by HiGHS.  method="greedy"
+    or "exact" forces one strategy.
 
-    Returns (count, selected pairs).
+    Returns (count, selected pairs).  Every maximum matching has the same
+    size, so an exact count is unique, but its pairs may be any maximum
+    matching.
     """
     if method not in ("auto", "greedy", "exact"):
         raise ValueError(f"unknown method {method!r}")
@@ -1237,17 +1259,8 @@ def count_disjoint_linked_pairs(
                 used.update((i, j))
         return picked
 
-    def exact() -> list[tuple[int, int]]:
-        import networkx as nx
-
-        graph = nx.Graph()
-        graph.add_nodes_from(range(t))
-        graph.add_edges_from(linked)
-        matching = nx.max_weight_matching(graph, maxcardinality=True)
-        return sorted((min(i, j), max(i, j)) for i, j in matching)
-
     if method == "exact":
-        picked = exact()
+        picked = _max_matching(t, linked)
     else:
         picked = greedy()
         if (
@@ -1256,5 +1269,5 @@ def count_disjoint_linked_pairs(
             and len(picked) < linked_pair_bound(t, n)
             and t <= exhaustive_limit
         ):
-            picked = exact()
+            picked = _max_matching(t, linked)
     return len(picked), picked

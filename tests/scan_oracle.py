@@ -36,6 +36,9 @@ a block of b values per a in one gain call, and must return the same value.
 ``estimate_two_opt_max`` is the old restart loop, one ``run_two_opt`` per
 spawned seed in turn; the package runs the restarts as batches of tours in
 lockstep, and must return the same estimate, bit for bit.
+``max_matching_size`` is an exhaustive search for the largest set of
+linked pairs sharing no change; the package solves it as a 0/1 program,
+and its count must be the same.
 """
 
 import math
@@ -435,3 +438,16 @@ def estimate_two_opt_max(inst_or_points, metric, restarts: int, pivot: str, eps:
         )
         worst = max(worst, rec.final_length)
     return worst
+
+
+def max_matching_size(pairs) -> int:
+    """The size of a maximum matching over the pairs, by exhaustive search:
+    the smallest vertex left is either unmatched or matched along one of its pairs."""
+    if not pairs:
+        return 0
+    v = min(min(p) for p in pairs)
+    best = max_matching_size([p for p in pairs if v not in p])
+    for p in pairs:
+        if v in p:
+            best = max(best, 1 + max_matching_size([q for q in pairs if not set(p) & set(q)]))
+    return best

@@ -87,10 +87,57 @@ def test_gen_from_origins_file(tmp_path):
                    "-o", str(inst_path)) == EXIT_VALIDATION
 
 
-def test_gen_rejects_nan_sigma(tmp_path):
+def test_gen_rejects_nan_sigma(tmp_path, capsys):
     out = tmp_path / "x.json"
-    assert run_cli("gen", "--n", "5", "--sigma", "nan", "-o", str(out)) == EXIT_VALIDATION
+    for sigma in ("nan", "inf"):
+        assert run_cli("gen", "--n", "5", "--sigma", sigma, "-o", str(out)) == EXIT_VALIDATION
+        assert "sigma must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _run_capped(argv, cwd):
+    """`twoptlab` in a child whose address space is capped at 1 GiB, so a
+    point set that is allocated before it is refused fails in the child
+    with MemoryError instead of exhausting the host."""
+    launcher = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
+        "from twoptlab.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    env = _checkout_env()
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-c", launcher, *argv], capture_output=True,
+                          text=True, cwd=cwd, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("size", [["--n", "8", "--dim", "100000000"], ["--n", "100000000"]],
+                         ids=["huge-dim", "huge-n"])
+def test_gen_refuses_oversized_point_sets(tmp_path, size):
+    out = tmp_path / "x.json"
+    proc = _run_capped(["gen", *size, "-o", str(out)], tmp_path)
+    assert proc.returncode == EXIT_VALIDATION
+    assert proc.stderr.startswith("error:") and "coordinates, over 16777216" in proc.stderr
     assert not out.exists()
+
+
+def test_gen_grid_in_many_dimensions_builds_only_its_nodes(tmp_path):
+    # the first 8 nodes of the 2^40 lattice, without the lattice
+    out = tmp_path / "x.json"
+    proc = _run_capped(["gen", "--n", "8", "--origins", "grid", "--dim", "40", "-o", str(out)],
+                       tmp_path)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    origins = np.asarray(json.loads(out.read_text())["origins"])
+    assert origins.shape == (8, 40)
+    assert not origins[:, :37].any()
+    assert np.array_equal(origins[:, 37:], [[(i >> b) & 1 for b in (2, 1, 0)] for i in range(8)])
+
+
+def test_out_of_memory_is_a_validation_error(monkeypatch, capsys, tmp_path):
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 6.4 GiB")
+
+    monkeypatch.setattr("twoptlab.cli.make_origins", exhausted)
+    assert run_cli("gen", "--n", "8", "-o", str(tmp_path / "x.json")) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: out of memory: Unable to allocate 6.4 GiB\n"
 
 
 def test_gen_rejects_non_finite_origins_file(tmp_path):
@@ -653,6 +700,24 @@ def test_module_main_matches_package(tmp_path):
     assert "PASS" in via_module.stdout
     assert via_script.returncode == via_module.returncode, via_script.stderr
     assert via_script.stdout == via_module.stdout
+
+
+def test_exact_linked_pairs_need_no_networkx(tmp_path):
+    # the exact matching runs on scipy's HiGHS, which import twoptlab leaves unloaded
+    probe = """
+import sys
+sys.modules["networkx"] = None  # import networkx fails
+import twoptlab
+print("scipy.optimize" in sys.modules)
+inst = twoptlab.perturb(twoptlab.make_origins("uniform", 12, 2, 21), 0.3, 21)
+rec = twoptlab.run_two_opt(inst, "l2", init="random", pivot="first", seed=21, keep_changes=True)
+print(twoptlab.count_disjoint_linked_pairs(rec.changes, method="greedy")[0],
+      twoptlab.count_disjoint_linked_pairs(rec.changes, method="exact")[0])
+"""
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          cwd=tmp_path, env=_checkout_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "9", "10"]
 
 
 def test_import_leaves_scipy_integrate_unloaded(tmp_path):

@@ -95,11 +95,16 @@ def test_parse_config_validates_values():
     with pytest.raises(ValueError, match="max_iter"):
         parse_config("n = 8\nsigma = 0.1\nmax_iter = -1\n")
     # caught at parse time, not in the first row that perturbs
-    for sigma in ("nan", "2", "-1"):
-        with pytest.raises(ValueError, match="sigma"):
+    for sigma, message in [("nan", "finite"), ("inf", "finite"), ("-inf", "finite"),
+                           ("2", "exceeds"), ("-1", "non-negative")]:
+        with pytest.raises(ValueError, match=f"sigma.*{message}"):
             parse_config(f"n = 8\nsigma = 0.1, {sigma}\n")
     with pytest.raises(ValueError, match="dim"):
         parse_config("n = 8\nsigma = 0.1\ndim = 0\n")
+    # point sets over the coordinate budget, refused before any is allocated
+    for size in ("n = 8\ndim = 100000000\n", "n = 8, 100000000\n"):
+        with pytest.raises(ValueError, match="coordinates, over 16777216"):
+            parse_config(f"{size}sigma = 0.1\n")
     # keys the experiment would silently ignore
     with pytest.raises(ValueError, match=r"\['metric', 'n', 'pivot'\]"):
         parse_config("experiment = lb\np = 3\nsigma = 1e-4\nmetric = l1\npivot = best\nn = 7\n")

@@ -66,10 +66,11 @@ def test_perturb_rejects_negative_and_large_sigma():
     assert Instance.from_json(inst.to_json()).sigma == 1.5
 
 
-@pytest.mark.parametrize("sigma", [math.nan, math.inf])
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
 def test_perturb_rejects_non_finite_sigma(sigma):
-    with pytest.raises(ValueError, match="sigma"):
-        perturb(np.zeros((3, 2)), sigma, seed=0, allow_large_sigma=True)
+    for allow_large_sigma in (False, True):
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            perturb(np.zeros((3, 2)), sigma, seed=0, allow_large_sigma=allow_large_sigma)
 
 
 def test_perturb_displacement_variance():
@@ -206,6 +207,19 @@ def test_make_origins_rules():
     assert np.array_equal(u1, u2)
     with pytest.raises(ValueError):
         make_origins("hexagonal", 8, 2, 3)
+
+
+def test_grid_origins_are_the_first_nodes_of_the_lattice():
+    for dim in (1, 2, 3, 5):
+        for n in (1, 2, 7, 8, 9, 30):
+            k = 1
+            while k**dim < n:
+                k += 1
+            axis = np.linspace(0.0, 1.0, k) if k > 1 else np.array([0.5])
+            lattice = np.stack([m.ravel() for m in np.meshgrid(*[axis] * dim, indexing="ij")],
+                               axis=1)
+            got = make_origins("grid", n, dim, 0)
+            assert got.flags.c_contiguous and np.array_equal(got, lattice[:n])
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+import scan_oracle
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,7 +33,7 @@ from twoptlab import (
     two_change_gain,
 )
 from twoptlab.geometry import vec_dist
-from twoptlab.tour import _make_change
+from twoptlab.tour import _make_change, _max_matching
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 # vertex order 0,1,2,3 over these coordinates walks both diagonals
@@ -579,6 +581,58 @@ def test_count_disjoint_methods_agree_on_small_runs():
     greedy, _ = count_disjoint_linked_pairs(rec.changes, method="greedy")
     exact, _ = count_disjoint_linked_pairs(rec.changes, method="exact")
     assert greedy <= exact
+
+
+def _assert_maximum_matching(t, pairs):
+    picked = _max_matching(t, pairs)
+    assert picked == sorted(picked) and set(picked) <= set(pairs)
+    ends = [c for pair in picked for c in pair]
+    assert len(ends) == len(set(ends))  # no change in two pairs
+    assert len(picked) == scan_oracle.max_matching_size(pairs)
+    assert _max_matching(t, pairs) == picked
+    return picked
+
+
+@pytest.mark.parametrize("t, pairs, size", [
+    (3, [(0, 1), (0, 2), (1, 2)], 1),
+    (5, [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)], 2),
+    (6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)], 3),
+    (4, [(0, 1), (0, 2), (1, 3)], 2),  # lexicographic greedy takes (0, 1) and stops at 1
+], ids=["triangle", "5-cycle", "two-triangles-and-a-bridge", "greedy-falls-short"])
+def test_max_matching_on_hand_made_graphs(t, pairs, size):
+    assert len(_assert_maximum_matching(t, pairs)) == size
+
+
+def test_max_matching_on_random_graphs():
+    rng = np.random.default_rng(26)
+    for _ in range(60):
+        t = int(rng.integers(2, 13))
+        density = rng.uniform(0.1, 0.7)
+        pairs = [(i, j) for i, j in itertools.combinations(range(t), 2) if rng.random() < density]
+        _assert_maximum_matching(t, pairs)
+
+
+def test_max_matching_of_no_pairs_calls_no_solver(monkeypatch):
+    def no_solver(*args, **kwargs):
+        raise AssertionError("milp called")
+
+    monkeypatch.setattr(scipy.optimize, "milp", no_solver)
+    assert _max_matching(4, []) == []
+    assert count_disjoint_linked_pairs([], method="exact") == (0, [])
+
+
+@pytest.mark.parametrize("pivot", ["first", "best", "random"])
+def test_exact_count_is_maximum_on_recorded_runs(pivot):
+    inst = _random_instance(12, 21)
+    rec = run_two_opt(inst, "l2", init="random", pivot=pivot, seed=21, keep_changes=True)
+    linked = [
+        (i, j) for i, j in itertools.combinations(range(rec.iterations), 2)
+        if classify_linked_pair(rec.changes[i], rec.changes[j])
+        in (LinkedPairType.TYPE_0, LinkedPairType.TYPE_1A, LinkedPairType.TYPE_1B)
+    ]
+    count, pairs = count_disjoint_linked_pairs(rec.changes, method="exact")
+    assert pairs == _assert_maximum_matching(rec.iterations, linked)
+    assert count == len(pairs)
 
 
 # ---------------------------------------------------------------------------
