@@ -489,6 +489,11 @@ def ratio_experiment(
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {seeds}")
+    if base_seed < 0:
+        raise ValueError(f"base_seed must be >= 0, got {base_seed}")
+    _check_origins(origins, n, 2)
+    _check_pivot(pivot)
+    _check_stopping(eps)
     if len(sigma_grid) == 0:
         raise ValueError("ratio experiment needs at least one sigma")
     if not (math.isfinite(origin_scale) and origin_scale > 0.0):

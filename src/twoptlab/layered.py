@@ -382,12 +382,10 @@ def check_containers(li: LayeredInstance, perturbed: Instance) -> tuple[bool, fl
     return worst <= 1.0, worst
 
 
-def _certificate(li: LayeredInstance, perturbed: Instance | None = None,
+def _certificate(li: LayeredInstance, perturbed: Instance,
                  eps: float = _EPS) -> tuple[dict, Violation | None]:
     """The lb row's seven measured fields for the designated tour, and the
     certifier's Violation (None when certified), measured in the row's order."""
-    if perturbed is None:
-        perturbed = li.unperturbed()
     pts = perturbed.points
     tour = build_long_tour(li, perturbed)
     ok, worst = check_containers(li, perturbed)

@@ -28,7 +28,6 @@ import math
 from typing import IO
 
 import numpy as np
-from scipy.special import gammaln
 
 from .geometry import as_points
 
@@ -363,8 +362,8 @@ def chi_inverse_moment(d: int, c: float, sigma: float) -> float:
         raise ValueError(f"inverse moment diverges for c >= d (c={c}, d={d})")
     log_val = (
         -0.5 * c * math.log(2.0)
-        + gammaln((d - c) / 2.0)
-        - gammaln(d / 2.0)
+        + math.lgamma((d - c) / 2.0)
+        - math.lgamma(d / 2.0)
         - c * math.log(sigma)
     )
     return math.exp(log_val)

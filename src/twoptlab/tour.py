@@ -90,9 +90,12 @@ The second half implements the linked-pair taxonomy for sequences of applied
 2-changes (an edge added by one change and removed by another): pairs sharing
 all four vertices (type 2), five vertices (type 1a/1b, split by whether the
 second change also re-creates an edge the first removed), or six (type 0),
-plus a counter for large sets of pairwise change-disjoint pairs of type 0/1:
-a lexicographic greedy matching, or an exact maximum matching, solved as a
-0/1 program by scipy's HiGHS, which may return any maximum matching.
+plus a counter for large sets of pairwise change-disjoint pairs of type 0/1.
+The counter indexes the edges each change removes, pairs every change with
+the changes that remove an edge it adds, keeps the pairs that
+``classify_linked_pair`` types as 0, 1a or 1b, and matches them by one
+lexicographic greedy pass, or exactly, as a 0/1 program solved by scipy's
+HiGHS, which may return any maximum matching.
 """
 
 from __future__ import annotations
@@ -1225,49 +1228,27 @@ def count_disjoint_linked_pairs(
     if method not in ("auto", "greedy", "exact"):
         raise ValueError(f"unknown method {method!r}")
     t = len(changes)
-    added_by: dict[frozenset, list[int]] = {}
     removed_by: dict[frozenset, list[int]] = {}
-    for idx, ch in enumerate(changes):
-        removed, added = _edge_sets(ch)
-        for e in added:
-            added_by.setdefault(e, []).append(idx)
-        for e in removed:
-            removed_by.setdefault(e, []).append(idx)
-
-    candidates: set[tuple[int, int]] = set()
-    for e, adders in added_by.items():
-        removers = removed_by.get(e)
-        if not removers:
-            continue
-        for i in adders:
-            for j in removers:
-                if i != j:
+    for j, ch in enumerate(changes):
+        for e in ch.removed:
+            removed_by.setdefault(frozenset(e), []).append(j)
+    candidates: set[tuple[int, int]] = set()  # a change that adds an edge, one that removes it
+    for i, ch in enumerate(changes):
+        for e in ch.added:
+            for j in removed_by.get(frozenset(e), ()):
+                if j != i:
                     candidates.add((min(i, j), max(i, j)))
-    linked = [
-        pair
-        for pair in sorted(candidates)
-        if classify_linked_pair(changes[pair[0]], changes[pair[1]])
-        in (LinkedPairType.TYPE_0, LinkedPairType.TYPE_1A, LinkedPairType.TYPE_1B)
-    ]
-
-    def greedy() -> list[tuple[int, int]]:
+    linked = [(i, j) for i, j in sorted(candidates)
+              if classify_linked_pair(changes[i], changes[j])
+              in (LinkedPairType.TYPE_0, LinkedPairType.TYPE_1A, LinkedPairType.TYPE_1B)]
+    picked: list[tuple[int, int]] = []
+    if method != "exact":  # the lexicographic greedy matching
         used: set[int] = set()
-        picked = []
         for i, j in linked:
             if i not in used and j not in used:
                 picked.append((i, j))
                 used.update((i, j))
-        return picked
-
-    if method == "exact":
+    if method == "exact" or (method == "auto" and n is not None
+                             and len(picked) < linked_pair_bound(t, n) and t <= exhaustive_limit):
         picked = _max_matching(t, linked)
-    else:
-        picked = greedy()
-        if (
-            method == "auto"
-            and n is not None
-            and len(picked) < linked_pair_bound(t, n)
-            and t <= exhaustive_limit
-        ):
-            picked = _max_matching(t, linked)
     return len(picked), picked

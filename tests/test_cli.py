@@ -322,6 +322,7 @@ def test_ratio_rejects_seeds_below_one(tmp_path, seeds):
     ("--restarts", "0", "restarts must be >= 1"),
     ("--origin-scale", "nan", "origin_scale must be finite and positive, got nan"),
     ("--origin-scale", "inf", "origin_scale must be finite and positive, got inf"),
+    ("--seed", "-1", "base_seed must be >= 0, got -1"),
 ])
 def test_ratio_rejects_bad_arguments_by_name(tmp_path, capsys, flag, value, message):
     out = tmp_path / "r.csv"

@@ -551,10 +551,17 @@ def test_ratio_experiment_validation():
     ({"restarts": 0}, "restarts"),
     ({"origin_scale": math.nan}, "origin_scale"),
     ({"origin_scale": math.inf}, "origin_scale"),
-], ids=["n-2", "restarts-0", "origin-scale-nan", "origin-scale-inf"])
+    ({"base_seed": -1}, "base_seed must be >= 0, got -1"),
+    ({"origins": "bogus"}, "origins rule"),
+    ({"pivot": "bogus"}, "pivot rule"),
+    ({"eps": 0.0}, "eps must be finite"),
+], ids=["n-2", "restarts-0", "origin-scale-nan", "origin-scale-inf",
+        "base-seed-negative", "origins-bogus", "pivot-bogus", "eps-0"])
 def test_ratio_experiment_checks_its_arguments_first(monkeypatch, kwargs, match):
-    # before, n = 2 and restarts = 0 failed inside row 0, and a NaN or
-    # infinite origin_scale failed there as non-finite coordinates
+    # before, n = 2 and restarts = 0 failed inside row 0, a NaN or infinite
+    # origin_scale failed there as non-finite coordinates, and a negative
+    # base_seed failed in numpy without naming the argument; a bad pivot or
+    # eps was caught only inside estimate_two_opt_max, which is stubbed here
     calls = []
     monkeypatch.setattr(harness, "estimate_two_opt_max", lambda *a, **k: calls.append(a))
     with pytest.raises(ValueError, match=match):

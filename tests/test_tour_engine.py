@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scan_oracle
 import scipy.optimize
+import twoptlab.tour
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -373,6 +374,18 @@ def test_run_that_would_undo_its_last_change_raises(n, seed, pivot):
         run_two_opt(pts, "l1", pivot=pivot, seed=seed, max_iter=3000)
 
 
+@pytest.mark.xfail(strict=True, raises=ValueError, reason=(
+    "_gain sums (el_i + el_j) - d13 - d24 left to right, so at large scales a "
+    "2-change and its inverse can both gain > eps and the undo guard raises"))
+def test_large_scale_runs_converge_without_cycling():
+    # wanted: every run of this 216-run corpus converges and none raises
+    for scale, metric, pivot, seed, n in itertools.product(
+            (1e6, 1e8, 1e10), ("l1", "l2", "l2sq"), ("first", "best"), range(6), (12, 30)):
+        pts = scale * _random_instance(n, seed).points
+        rec = run_two_opt(pts, metric, pivot=pivot, seed=seed, max_iter=3000, keep_changes=False)
+        assert rec.converged, (scale, metric, pivot, seed, n)
+
+
 def test_negative_max_iter_is_rejected():
     with pytest.raises(ValueError, match="max_iter"):
         run_two_opt(CROSSING, "l2", max_iter=-1)
@@ -621,8 +634,24 @@ def test_max_matching_of_no_pairs_calls_no_solver(monkeypatch):
     assert count_disjoint_linked_pairs([], method="exact") == (0, [])
 
 
-@pytest.mark.parametrize("pivot", ["first", "best", "random"])
-def test_exact_count_is_maximum_on_recorded_runs(pivot):
+def _lexicographic_greedy(pairs):
+    used, picked = set(), []
+    for i, j in pairs:
+        if i not in used and j not in used:
+            picked.append((i, j))
+            used.update((i, j))
+    return picked
+
+
+_RECORDED = [(pivot, method) for method in ("exact", "greedy", "auto")
+             for pivot in ("first", "best", "random")]
+
+
+@pytest.mark.parametrize("pivot, method", _RECORDED, ids=[
+    pivot if method == "exact" else f"{pivot}-{method}" for pivot, method in _RECORDED])
+def test_exact_count_is_maximum_on_recorded_runs(pivot, method):
+    # the counter finds its candidates through an index of removed edges; the
+    # all-pairs list here shows that the index misses no linked pair
     inst = _random_instance(12, 21)
     rec = run_two_opt(inst, "l2", init="random", pivot=pivot, seed=21, keep_changes=True)
     linked = [
@@ -630,9 +659,27 @@ def test_exact_count_is_maximum_on_recorded_runs(pivot):
         if classify_linked_pair(rec.changes[i], rec.changes[j])
         in (LinkedPairType.TYPE_0, LinkedPairType.TYPE_1A, LinkedPairType.TYPE_1B)
     ]
-    count, pairs = count_disjoint_linked_pairs(rec.changes, method="exact")
-    assert pairs == _assert_maximum_matching(rec.iterations, linked)
+    count, pairs = count_disjoint_linked_pairs(rec.changes, n=12, method=method)
+    if method == "exact":
+        assert pairs == _assert_maximum_matching(rec.iterations, linked)
+    else:
+        assert pairs == _lexicographic_greedy(linked)
     assert count == len(pairs)
+
+
+def test_auto_count_turns_exact_only_below_the_bound_on_short_runs(monkeypatch):
+    inst = _random_instance(12, 21)
+    changes = run_two_opt(inst, "l2", init="random", seed=21, keep_changes=True).changes
+    t = len(changes)
+    greedy = count_disjoint_linked_pairs(changes, method="greedy")
+    exact = count_disjoint_linked_pairs(changes, method="exact")
+    assert greedy[0] < exact[0]  # so each answer below shows which matching ran
+    assert count_disjoint_linked_pairs(changes, n=12) == greedy  # greedy meets the bound
+    monkeypatch.setattr(twoptlab.tour, "linked_pair_bound", lambda t, n: t)  # a bound no matching meets
+    assert count_disjoint_linked_pairs(changes) == greedy  # no n, no bound
+    assert count_disjoint_linked_pairs(changes, n=12) == exact
+    assert count_disjoint_linked_pairs(changes, n=12, exhaustive_limit=t - 1) == greedy
+    assert count_disjoint_linked_pairs(changes, n=12, method="greedy") == greedy
 
 
 # ---------------------------------------------------------------------------
