@@ -3,14 +3,21 @@
 Two independent exact TSP solvers are kept side by side on purpose --
 ``brute_force`` (permutation enumeration, n <= 11) and ``held_karp``
 (bitmask dynamic program, n <= 20) -- so each can vouch for the other in
-tests.  ``mst_length`` is Prim's algorithm over the live vertices: as a
-vertex joins the tree, its distance row is computed from coordinates
-against the vertices not yet in the tree only, so a join costs O(live), and
-the tree takes O(n) memory and no n x n matrix.  It runs on the
-nearest-neighbour start's walk, ``tour._nn_walk``, and so shares its tie
-rule (smallest index).  Under the triangle inequality (l1 and l2, not l2sq)
-MST <= TSP <= 2 MST bounds the optimum of instances too large to solve;
-only ``_upper_bound`` and ``_ratio`` apply it, never against a zero optimum.
+tests.  ``mst_length`` is the sum of Prim's join keys from vertex 0, in
+join order.  From n = _MST_MIN_N on, for d <= 2, it takes them from each
+point's 16 nearest neighbours (one ``cKDTree`` query; the candidates of
+Bentley's fixed-radius near neighbours, ORSA J. Comput. 4(4), 1992): their
+tree by Borůvka, Prim's join order replayed on it with a heap, and a
+certificate that no edge outside the candidates is as light as any join.
+Where that fails (ties, coincident points, candidates that do not span,
+d >= 3) it runs dense Prim over the live vertices, the nearest-neighbour
+start's walk ``tour._nn_walk``: each join computes one coordinate row
+against the vertices not yet in the tree, ties to the smallest index, in
+O(n) memory and no n x n matrix.  Both give the same keys, so the weight
+keeps its bits whichever runs.  Under the triangle inequality (l1 and l2,
+not l2sq) MST <= TSP <= 2 MST bounds the optimum of instances too large to
+solve; only ``_upper_bound`` and ``_ratio`` apply it, never against a zero
+optimum.
 
 ``estimate_two_opt_max`` approximates the *worst* 2-optimal tour length by
 restarting the engine from many random tours and keeping the maximum; its
@@ -30,13 +37,15 @@ bookkeeping tool behind descent-counting arguments.
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import itertools
 import math
 import time
 
 import numpy as np
+from scipy.spatial import cKDTree
 
-from .geometry import Metric, _pairwise, vec_dist
+from .geometry import Metric, _pairwise, _per_axis, vec_dist
 from .tour import _EPS, _SCAN_BLOCK, Tour, _coords, _nn_walk, _runs, _tour_order
 
 __all__ = [
@@ -55,6 +64,14 @@ HELD_KARP_MAX_N = 20
 # Edges of length exactly zero fall outside every dyadic bucket; they are
 # collected under this index so the buckets always partition the tour.
 OVERFLOW_BIN = 1100
+
+# mst_length's candidates: each point's nearest neighbours, and the n from
+# which they are tried before dense Prim (it must exceed _MST_NEIGHBOURS).
+# On a 2-vCPU VM both took about 0.6 ms at n = 100 on uniform points, and
+# on the p = 3 layered instance (n = 3106) the candidates took 14 ms of
+# thread time against dense Prim's 35 ms.
+_MST_NEIGHBOURS = 16
+_MST_MIN_N = 128
 
 
 @dataclasses.dataclass(frozen=True)
@@ -168,17 +185,127 @@ def held_karp(inst_or_points, metric: Metric | str = Metric.EUCLIDEAN) -> ExactR
 
 
 def mst_length(inst_or_points, metric: Metric | str = Metric.EUCLIDEAN) -> float:
-    """Minimum-spanning-tree weight by Prim over the live vertices.
+    """Minimum-spanning-tree weight: the join keys of Prim's tree from
+    vertex 0, ties to the smallest index, added in join order.
 
-    ``tour._nn_walk`` grows the tree from vertex 0, one coordinate row per
-    join against the vertices not yet in it, ties to the smallest index; the
-    weight is the sum of the join keys, added in join order.
+    ``_candidate_keys`` finds the keys from k-nearest candidates and
+    certifies them; where it cannot, ``tour._nn_walk`` grows the tree over
+    the live vertices, one coordinate row per join.  Both give the same keys
+    in the same order, so the weight has the same bits either way.
     """
-    _, keys = _nn_walk(_coords(inst_or_points), metric, tree=True)
+    pts = _coords(inst_or_points)
+    keys = _candidate_keys(pts, Metric.parse(metric))
+    if keys is None:
+        _, keys = _nn_walk(pts, metric, tree=True)
     total = 0.0
     for w in keys:
         total += w
     return total
+
+
+def _candidate_keys(pts: np.ndarray, metric: Metric) -> list[float] | None:
+    """Prim's join keys from each point's _MST_NEIGHBOURS nearest neighbours,
+    or None where they are not certified to be dense Prim's.
+
+    The candidates come from one KD-tree query, and their weights from
+    ``geometry._per_axis``, the walk's arithmetic.  r[x] is the tree's
+    distance to x's last candidate, shrunk by a relative 2^-40 to cover the
+    tree's own rounding (squared for l2sq): no other point is nearer to x.
+    With distinct positive weights the candidate graph has one MST, which
+    ``_boruvka`` finds and a heap replays in Prim's join order from vertex 0.
+    Join s is certified when max(min r over the tree, min r over the live
+    points) exceeds its key: an edge across the cut that is no candidate
+    weighs at least that, so the join is the unique lightest edge across the
+    cut, the one dense Prim takes, with the same bits.  Coincident points,
+    tied weights (a sigma = 0 lattice), candidates that do not span, d >= 3
+    and n < _MST_MIN_N all give None.
+    """
+    n, dim = pts.shape
+    if dim > 2 or n < _MST_MIN_N:
+        return None
+    k = _MST_NEIGHBOURS
+    dist, nbr = cKDTree(pts).query(pts, k=k + 1, p=1 if metric is Metric.MANHATTAN else 2)
+    r = dist[:, -1] * (1.0 - 2.0**-40)
+    if metric is Metric.SQ_EUCLIDEAN:
+        r *= r
+    # each candidate pair once, as a < b; a point's self is column 0 unless
+    # a coincident point took it, and then a weight is 0
+    u, v = np.repeat(np.arange(n), k), nbr[:, 1:].ravel()
+    ab = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
+    a, b = np.divmod(ab[np.insert(ab[1:] != ab[:-1], 0, True)], n)
+    with np.errstate(over="ignore"):  # as in vec_dist
+        w = _per_axis(metric, *(pts[a] - pts[b]).T)
+    rank = w.argsort()
+    a, b, w = a[rank], b[rank], w[rank]
+    if not w[0] > 0.0 or (w[1:] == w[:-1]).any():
+        return None
+
+    tree = _boruvka(n, a, b)
+    if tree.size != n - 1:
+        return None
+    order, keys = _prim_replay(n, a[tree], b[tree], w[tree])
+    rr = r[order]
+    bound = np.maximum(np.minimum.accumulate(rr)[:-1], np.minimum.accumulate(rr[::-1])[::-1][1:])
+    return keys.tolist() if (bound > keys).all() else None
+
+
+def _boruvka(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The minimum spanning forest of the edges (a[e], b[e]) ranked by e, as
+    its sorted edge indices.
+
+    Each round, every component takes its lowest-ranked edge out, and the
+    hooks merge by pointer jumping; of two components that took the same
+    edge, only the larger-labelled one hooks.
+    """
+    comp, alive = np.arange(n), np.arange(a.size)
+    picked = np.zeros(a.size, dtype=bool)
+    while True:
+        ca, cb = comp[a[alive]], comp[b[alive]]
+        out = ca != cb
+        if not out.any():
+            return np.flatnonzero(picked)
+        alive, ca, cb = alive[out], ca[out], cb[out]
+        best = np.full(n, a.size)
+        np.minimum.at(best, ca, alive)
+        np.minimum.at(best, cb, alive)
+        roots = np.flatnonzero(best < a.size)
+        e = best[roots]
+        picked[e] = True
+        pa = comp[a[e]]
+        other = np.where(pa == roots, comp[b[e]], pa)
+        parent = np.arange(n)
+        parent[roots] = other
+        mutual = (parent[other] == roots) & (roots < other)
+        parent[roots[mutual]] = roots[mutual]
+        while True:
+            up = parent[parent]
+            if (up == parent).all():
+                break
+            parent = up
+        comp = parent[comp]
+
+
+def _prim_replay(n: int, a: np.ndarray, b: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Prim's join order and keys from vertex 0 on the spanning tree whose
+    edges (a[e], b[e]) are sorted by their distinct weights w[e]."""
+    ends = np.concatenate((a, b))
+    by_end = ends.argsort(kind="stable")
+    start = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(ends, minlength=n), out=start[1:])
+    # the heap holds edge indices, which sort as the weights do; on a tree
+    # each edge but the one x joined by leads to a point not yet joined
+    edge, far = (by_end % (n - 1)).tolist(), np.concatenate((b, a))[by_end].tolist()
+    start, to = start.tolist(), [0] * (n - 1)
+    joins, heap, via, x = [], [], -1, 0
+    for _ in range(n - 1):
+        for j in range(start[x], start[x + 1]):
+            if edge[j] != via:
+                to[edge[j]] = far[j]
+                heapq.heappush(heap, edge[j])
+        via = heapq.heappop(heap)
+        x = to[via]
+        joins.append(via)
+    return np.array([0] + [to[e] for e in joins]), w[joins]
 
 
 def _upper_bound(points, metric: Metric | str) -> float | None:

@@ -48,10 +48,11 @@ permutes only the map from path positions to matrix rows.  The arithmetic
 is the same, so every caller sees bit-identical gains.
 
 ``_nn_walk`` is the one greedy walk: the nearest-neighbour start, the
-layered padding path and Prim's ``exact.mst_length``.  For d <= 2 it
-holds its live points one contiguous copy per axis and computes each row
-with ``geometry._per_axis`` into a buffer made once, so a step costs a few
-ufunc calls over the live points and no ``vec_dist`` call.
+layered padding path and dense Prim, which is ``exact.mst_length``'s
+fallback and the reference its k-nearest candidate path must match.  For
+d <= 2 it holds its live points one contiguous copy per axis and computes
+each row with ``geometry._per_axis`` into a buffer made once, so a step
+costs a few ufunc calls over the live points and no ``vec_dist`` call.
 
 ``find_improving`` and ``certify_two_optimality`` scan once from
 coordinates, and on a tour with few long edges they evaluate only the pairs

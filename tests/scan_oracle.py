@@ -442,12 +442,20 @@ def estimate_two_opt_max(inst_or_points, metric, restarts: int, pivot: str, eps:
 
 def max_matching_size(pairs) -> int:
     """The size of a maximum matching over the pairs, by exhaustive search:
-    the smallest vertex left is either unmatched or matched along one of its pairs."""
-    if not pairs:
-        return 0
-    v = min(min(p) for p in pairs)
-    best = max_matching_size([p for p in pairs if v not in p])
-    for p in pairs:
-        if v in p:
-            best = max(best, 1 + max_matching_size([q for q in pairs if not set(p) & set(q)]))
-    return best
+    the smallest vertex left is either unmatched or matched along one of its
+    pairs.  Each set of pairs left is searched once per call."""
+    memo = {}
+
+    def search(left: frozenset) -> int:
+        if left not in memo:
+            best = 0
+            if left:
+                v = min(min(p) for p in left)
+                best = search(frozenset(p for p in left if v not in p))
+                for p in left:
+                    if v in p:
+                        best = max(best, 1 + search(frozenset(q for q in left if not set(p) & set(q))))
+            memo[left] = best
+        return memo[left]
+
+    return search(frozenset(tuple(p) for p in pairs))

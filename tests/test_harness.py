@@ -1,6 +1,7 @@
 """Sweep configs, deterministic execution, CSV output, fits, verify suites."""
 
 import concurrent.futures
+import gc
 import math
 import os
 import re
@@ -264,6 +265,44 @@ def test_run_sweep_csv_byte_identical(tmp_path):
     assert b1.decode().splitlines()[0] == ",".join(ROW_COLUMNS)
 
 
+def _gc_state_row(cfg, confs, row_id):
+    """A sweep row that reports the gc state of the process that computes it."""
+    return {"pid": os.getpid(), "frozen": gc.get_freeze_count()}
+
+
+@pytest.mark.parametrize("caller", ["default", "frozen and disabled"])
+def test_run_sweep_workers_freeze_their_heap_and_leave_the_callers(monkeypatch, tmp_path, caller):
+    # a worker freezes the heap it forked with, so its collections never
+    # walk it; the caller's gc stays enabled or disabled, and its frozen
+    # objects neither thaw nor gain company (a frozen object may still be
+    # freed, so the count may fall), and the CSV bytes stay as they were
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    cfg = SweepConfig(experiment="lb", p=3, t=1, sigma=(1e-4,), seeds=2)
+
+    def check_caller(frozen):
+        assert gc.isenabled() == (caller == "default")
+        assert 0 < gc.get_freeze_count() <= frozen if frozen else gc.get_freeze_count() == 0
+
+    if caller != "default":
+        gc.freeze()
+        gc.disable()
+    try:
+        frozen = gc.get_freeze_count()
+        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_csv(run_sweep(cfg, threads=1), str(p1))
+        write_csv(run_sweep(cfg, threads=2), str(p2))
+        check_caller(frozen)
+        assert p1.read_bytes() == p2.read_bytes()
+        monkeypatch.setattr(harness, "_sweep_row", _gc_state_row)
+        rows = run_sweep(cfg, threads=2)
+        check_caller(frozen)
+        assert all(r["pid"] != os.getpid() and r["frozen"] > 0 for r in rows)
+    finally:
+        if caller != "default":
+            gc.unfreeze()
+            gc.enable()
+
+
 def test_replay_row_matches_sweep():
     cfg = _small_cfg(seeds=2)
     rows = run_sweep(cfg, threads=2)
@@ -299,9 +338,9 @@ def test_run_sweep_default_is_one_worker(monkeypatch):
     widths = []
     real_pool = concurrent.futures.ProcessPoolExecutor
 
-    def pool(max_workers, mp_context):
+    def pool(max_workers, **kwargs):
         widths.append(max_workers)
-        return real_pool(max_workers=max_workers, mp_context=mp_context)
+        return real_pool(max_workers=max_workers, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
     monkeypatch.setattr(harness, "_two_opt_row", lambda *args: {"pid": os.getpid()})
@@ -326,7 +365,7 @@ def test_run_sweep_caps_worker_count(monkeypatch):
     class NoPool(Exception):
         pass
 
-    def pool(max_workers, mp_context):
+    def pool(max_workers, **kwargs):
         asked.append(max_workers)
         raise NoPool
 

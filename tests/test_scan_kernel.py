@@ -79,7 +79,7 @@ from twoptlab import (
     write_csv,
 )
 from twoptlab import harness, layered
-from twoptlab.geometry import _per_axis, vec_dist
+from twoptlab.geometry import Metric, _per_axis, vec_dist
 from twoptlab.harness import RATIO_COLUMNS
 from twoptlab.tour import _make_change, _nn_walk, _scan_points
 
@@ -714,6 +714,109 @@ def test_mst_length_matches_dense_prim(metric):
     assert mst_length(pts, metric) == scan_oracle.mst_length(pts, metric)
     for name, pts in _tie_corpus():
         assert mst_length(pts, metric) == scan_oracle.mst_length(pts, metric), name
+
+
+@pytest.fixture
+def candidate_mst(monkeypatch):
+    """mst_length tries its k-nearest candidates from the least n they are
+    defined for, and logs the sizes dense Prim runs on and the trees that
+    are replayed."""
+    exact = twoptlab.exact
+    monkeypatch.setattr(exact, "_MST_MIN_N", exact._MST_NEIGHBOURS + 2)
+    log = {"dense": [], "replayed": []}
+
+    def walk(pts, metric, tree=False):
+        log["dense"].append(len(pts))
+        return _nn_walk(pts, metric, tree)
+
+    def replay(n, a, b, w):
+        log["replayed"].append(n)
+        return real_replay(n, a, b, w)
+
+    real_replay = exact._prim_replay
+    monkeypatch.setattr(exact, "_nn_walk", walk)
+    monkeypatch.setattr(exact, "_prim_replay", replay)
+    return log
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_candidate_mst_keys_are_dense_prims(candidate_mst, metric):
+    # where the candidates certify, their keys are dense Prim's, in join
+    # order and bit for bit, and mst_length runs no dense Prim; every 2-d
+    # input here certifies, while a 1-d one may fall back
+    for dim, layout, n, seed in itertools.product((1, 2), ("uniform", "grid"), (18, 40, 129, 700), range(2)):
+        if dim == 1 and layout == "grid":
+            continue
+        name = f"{dim}-d {layout} n={n} seed={seed}"
+        pts = make_origins(layout, n, dim, seed)
+        if layout == "grid":
+            pts = perturb(pts, 1e-3, seed).points
+        keys = twoptlab.exact._candidate_keys(pts, Metric.parse(metric))
+        assert keys is not None or dim == 1, name
+        candidate_mst["dense"].clear()
+        assert mst_length(pts, metric) == scan_oracle.mst_length(pts, metric), name
+        if keys is not None:
+            assert candidate_mst["dense"] == [], name
+            assert keys == _nn_walk(pts, metric, tree=True)[1], name
+        else:
+            assert candidate_mst["dense"] == [n], name
+
+
+def _fallback_corpus(metric):
+    """(name, points, replayed): inputs the candidates cannot certify under
+    the metric, and whether their spanning tree is replayed before the
+    certificate fails."""
+    rng = np.random.default_rng(7)
+    pts = rng.random((200, 2))
+    pts[150] = pts[20]
+    yield "coincident points", pts, False
+    yield "lattice, sigma = 0", make_origins("grid", 400, 2, 0), False
+    yield "d = 3", rng.random((200, 3)), False
+    yield "n = 17", rng.random((17, 2)), False
+    # 20 points each, so no candidate crosses between the clusters
+    cluster = 1e-2 * rng.random((20, 2))
+    yield "two far clusters", np.vstack((cluster, cluster + 10.0)), False
+    # a point halfway between them has candidates in both, so the tree
+    # spans, but its joins outweigh every point's last candidate distance
+    facing = [10.0005, 0.005] - 1e-2 * rng.random((20, 2))
+    yield "two far clusters and a bridge", np.vstack((cluster, [[5.0, 0.005]], facing)), True
+    if metric == "l1":
+        return
+    # two rings of 17 points whose nearest pair, 1.0 apart, lies outside
+    # the candidates: on a ring every other point is nearer than 0.98 (in
+    # l2, not in l1).  The candidates cross only through a point 1.2 from
+    # both, so their tree is not the MST, and the certificate must see it.
+    # Scaled by 1/4, every distance is below 1 and larger than its square.
+    turns = 2 * np.pi * (np.arange(17) + 0.2 * rng.random((2, 17))) / 17
+    rings = [centre + 0.49 * np.column_stack((np.cos(t), np.sin(t)))
+             for centre, t in (([0.0, 0.0], turns[0]), ([1.98, 0.0], np.pi + turns[1]))]
+    yield "two rings and a bridge", 0.25 * np.vstack(rings + [[[0.99, 1.091]]]), True
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_candidate_mst_falls_back_to_dense_prim(candidate_mst, metric):
+    for name, pts, replayed in _fallback_corpus(metric):
+        candidate_mst["dense"].clear()
+        candidate_mst["replayed"].clear()
+        assert twoptlab.exact._candidate_keys(pts, Metric.parse(metric)) is None, name
+        assert candidate_mst["replayed"] == ([len(pts)] if replayed else []), name
+        assert mst_length(pts, metric) == scan_oracle.mst_length(pts, metric), name
+        assert candidate_mst["dense"] == [len(pts)], name
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_lb_instances_take_the_candidate_path(monkeypatch, metric):
+    # the lb rows' MST (n = 3106) comes from the candidates alone, with
+    # dense Prim's bits: the walk raises if mst_length falls back to it
+    li = build_layered(3, 3e-6)
+    instances = [li.perturbed(s).points for s in range(3)]
+    want = [scan_oracle.mst_length(pts, metric) for pts in instances]
+
+    def walk(*args, **kwargs):
+        raise AssertionError("mst_length fell back to dense Prim")
+
+    monkeypatch.setattr(twoptlab.exact, "_nn_walk", walk)
+    assert [mst_length(pts, metric) for pts in instances] == want
 
 
 @pytest.mark.parametrize("metric", METRICS)
