@@ -4,13 +4,13 @@ Two independent exact TSP solvers are kept side by side on purpose --
 ``brute_force`` (permutation enumeration, n <= 11) and ``held_karp``
 (bitmask dynamic program, n <= 20) -- so each can vouch for the other in
 tests.  ``mst_length`` is the sum of Prim's join keys from vertex 0, in
-join order.  From n = _MST_MIN_N on, for d <= 2, it takes them from each
-point's 16 nearest neighbours (one ``cKDTree`` query; the candidates of
-Bentley's fixed-radius near neighbours, ORSA J. Comput. 4(4), 1992): their
-tree by Borůvka, Prim's join order replayed on it with a heap, and a
-certificate that no edge outside the candidates is as light as any join.
-Where that fails (ties, coincident points, candidates that do not span,
-d >= 3) it runs dense Prim over the live vertices, the nearest-neighbour
+join order.  For d <= 2 and n > 16, it takes them from each point's 16
+nearest neighbours (one ``cKDTree`` query; the candidates of Bentley's
+fixed-radius near neighbours, ORSA J. Comput. 4(4), 1992): their tree by
+Borůvka, Prim's join order replayed on it with a heap, and a certificate
+that no edge outside the candidates is as light as any join.  Where that
+fails (ties, coincident points, candidates that do not span, d >= 3,
+n <= 16) it runs dense Prim over the live vertices, the nearest-neighbour
 start's walk ``tour._nn_walk``: each join computes one coordinate row
 against the vertices not yet in the tree, ties to the smallest index, in
 O(n) memory and no n x n matrix.  Both give the same keys, so the weight
@@ -65,13 +65,10 @@ HELD_KARP_MAX_N = 20
 # collected under this index so the buckets always partition the tour.
 OVERFLOW_BIN = 1100
 
-# mst_length's candidates: each point's nearest neighbours, and the n from
-# which they are tried before dense Prim (it must exceed _MST_NEIGHBOURS).
-# On a 2-vCPU VM both took about 0.6 ms at n = 100 on uniform points, and
-# on the p = 3 layered instance (n = 3106) the candidates took 14 ms of
-# thread time against dense Prim's 35 ms.
+# mst_length's candidates: each point's nearest neighbours.  On the p = 3
+# layered instance (n = 3106) they took 14 ms of thread time on a 2-vCPU VM
+# against dense Prim's 35 ms.
 _MST_NEIGHBOURS = 16
-_MST_MIN_N = 128
 
 
 @dataclasses.dataclass(frozen=True)
@@ -218,10 +215,10 @@ def _candidate_keys(pts: np.ndarray, metric: Metric) -> list[float] | None:
     weighs at least that, so the join is the unique lightest edge across the
     cut, the one dense Prim takes, with the same bits.  Coincident points,
     tied weights (a sigma = 0 lattice), candidates that do not span, d >= 3
-    and n < _MST_MIN_N all give None.
+    and n <= _MST_NEIGHBOURS, where the query is not defined, all give None.
     """
     n, dim = pts.shape
-    if dim > 2 or n < _MST_MIN_N:
+    if dim > 2 or n <= _MST_NEIGHBOURS:
         return None
     k = _MST_NEIGHBOURS
     dist, nbr = cKDTree(pts).query(pts, k=k + 1, p=1 if metric is Metric.MANHATTAN else 2)
@@ -233,8 +230,7 @@ def _candidate_keys(pts: np.ndarray, metric: Metric) -> list[float] | None:
     u, v = np.repeat(np.arange(n), k), nbr[:, 1:].ravel()
     ab = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
     a, b = np.divmod(ab[np.insert(ab[1:] != ab[:-1], 0, True)], n)
-    with np.errstate(over="ignore"):  # as in vec_dist
-        w = _per_axis(metric, *(pts[a] - pts[b]).T)
+    w = _per_axis(metric, *(pts[a] - pts[b]).T)
     rank = w.argsort()
     a, b, w = a[rank], b[rank], w[rank]
     if not w[0] > 0.0 or (w[1:] == w[:-1]).any():

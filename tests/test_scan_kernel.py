@@ -718,11 +718,8 @@ def test_mst_length_matches_dense_prim(metric):
 
 @pytest.fixture
 def candidate_mst(monkeypatch):
-    """mst_length tries its k-nearest candidates from the least n they are
-    defined for, and logs the sizes dense Prim runs on and the trees that
-    are replayed."""
+    """Logs the sizes dense Prim runs on and the trees that are replayed."""
     exact = twoptlab.exact
-    monkeypatch.setattr(exact, "_MST_MIN_N", exact._MST_NEIGHBOURS + 2)
     log = {"dense": [], "replayed": []}
 
     def walk(pts, metric, tree=False):
@@ -744,7 +741,7 @@ def test_candidate_mst_keys_are_dense_prims(candidate_mst, metric):
     # where the candidates certify, their keys are dense Prim's, in join
     # order and bit for bit, and mst_length runs no dense Prim; every 2-d
     # input here certifies, while a 1-d one may fall back
-    for dim, layout, n, seed in itertools.product((1, 2), ("uniform", "grid"), (18, 40, 129, 700), range(2)):
+    for dim, layout, n, seed in itertools.product((1, 2), ("uniform", "grid"), (17, 40, 129, 700), range(2)):
         if dim == 1 and layout == "grid":
             continue
         name = f"{dim}-d {layout} n={n} seed={seed}"
@@ -772,7 +769,7 @@ def _fallback_corpus(metric):
     yield "coincident points", pts, False
     yield "lattice, sigma = 0", make_origins("grid", 400, 2, 0), False
     yield "d = 3", rng.random((200, 3)), False
-    yield "n = 17", rng.random((17, 2)), False
+    yield "n = 16", rng.random((16, 2)), False
     # 20 points each, so no candidate crosses between the clusters
     cluster = 1e-2 * rng.random((20, 2))
     yield "two far clusters", np.vstack((cluster, cluster + 10.0)), False
