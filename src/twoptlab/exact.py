@@ -4,20 +4,21 @@ Two independent exact TSP solvers are kept side by side on purpose --
 ``brute_force`` (permutation enumeration, n <= 11) and ``held_karp``
 (bitmask dynamic program, n <= 20) -- so each can vouch for the other in
 tests.  ``mst_length`` is the sum of Prim's join keys from vertex 0, in
-join order.  For d <= 2 and n > 16, it takes them from each point's 16
-nearest neighbours (one ``cKDTree`` query; the candidates of Bentley's
-fixed-radius near neighbours, ORSA J. Comput. 4(4), 1992): their tree by
-Borůvka, Prim's join order replayed on it with a heap, and a certificate
-that no edge outside the candidates is as light as any join.  Where that
-fails (ties, coincident points, candidates that do not span, d >= 3,
-n <= 16) it runs dense Prim over the live vertices, the nearest-neighbour
-start's walk ``tour._nn_walk``: each join computes one coordinate row
-against the vertices not yet in the tree, ties to the smallest index, in
-O(n) memory and no n x n matrix.  Both give the same keys, so the weight
-keeps its bits whichever runs.  Under the triangle inequality (l1 and l2,
-not l2sq) MST <= TSP <= 2 MST bounds the optimum of instances too large to
-solve; only ``_upper_bound`` and ``_ratio`` apply it, never against a zero
-optimum.
+join order.  For d = 2 and n > 16 it takes them from each point's 16
+nearest neighbours (one ``cKDTree`` query, ``scipy.spatial`` being imported
+on first use; the candidates of Bentley's fixed-radius near neighbours,
+ORSA J. Comput. 4(4), 1992): their tree by Borůvka, Prim's join order
+replayed on it with a heap, and a certificate that no edge outside the
+candidates is as light as any join.  Where that fails (ties, coincident
+points, candidates that do not span) or is not tried (d != 2,
+n <= 16) it runs dense Prim over the live vertices, the
+nearest-neighbour start's walk ``tour._nn_walk``: each join computes one
+coordinate row against the vertices not yet in the tree, ties to the
+smallest index, in O(n) memory and no n x n matrix.  Both give the same
+keys, so the weight keeps its bits whichever runs.  Under the triangle
+inequality (l1 and l2, not l2sq) MST <= TSP <= 2 MST bounds the optimum of
+instances too large to solve; only ``_upper_bound`` and ``_ratio`` apply
+it, never against a zero optimum.
 
 ``estimate_two_opt_max`` approximates the *worst* 2-optimal tour length by
 restarting the engine from many random tours and keeping the maximum; its
@@ -43,7 +44,6 @@ import math
 import time
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geometry import Metric, _pairwise, _per_axis, vec_dist
 from .tour import _EPS, _SCAN_BLOCK, Tour, _coords, _nn_walk, _runs, _tour_order
@@ -214,12 +214,14 @@ def _candidate_keys(pts: np.ndarray, metric: Metric) -> list[float] | None:
     points) exceeds its key: an edge across the cut that is no candidate
     weighs at least that, so the join is the unique lightest edge across the
     cut, the one dense Prim takes, with the same bits.  Coincident points,
-    tied weights (a sigma = 0 lattice), candidates that do not span, d >= 3
-    and n <= _MST_NEIGHBOURS, where the query is not defined, all give None.
+    tied weights (a sigma = 0 lattice) and candidates that do not span give
+    None, as do the inputs ``_builds_tree`` turns away.
     """
     n, dim = pts.shape
-    if dim > 2 or n <= _MST_NEIGHBOURS:
+    if not _builds_tree(dim, n):
         return None
+    from scipy.spatial import cKDTree
+
     k = _MST_NEIGHBOURS
     dist, nbr = cKDTree(pts).query(pts, k=k + 1, p=1 if metric is Metric.MANHATTAN else 2)
     r = dist[:, -1] * (1.0 - 2.0**-40)
@@ -243,6 +245,16 @@ def _candidate_keys(pts: np.ndarray, metric: Metric) -> list[float] | None:
     rr = r[order]
     bound = np.maximum(np.minimum.accumulate(rr)[:-1], np.minimum.accumulate(rr[::-1])[::-1][1:])
     return keys.tolist() if (bound > keys).all() else None
+
+
+def _builds_tree(dim: int, n: int) -> bool:
+    """Whether ``mst_length`` on n points in dim dimensions tries the
+    KD-tree candidates (and so imports ``scipy.spatial``): only in 2-d, and
+    above _MST_NEIGHBOURS points, the least n the query is defined for.  On
+    1-d uniform points the certificate fails, and they paid for both paths;
+    d >= 3 is untried.  ``harness.run_sweep`` asks it too, to import
+    ``scipy.spatial`` before it forks."""
+    return dim == 2 and n > _MST_NEIGHBOURS
 
 
 def _boruvka(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:

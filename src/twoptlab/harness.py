@@ -33,7 +33,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .exact import HELD_KARP_MAX_N, _ratio, _upper_bound, estimate_two_opt_max, held_karp
+from .exact import HELD_KARP_MAX_N, _builds_tree, _ratio, _upper_bound, estimate_two_opt_max, held_karp
 from .geometry import Metric
 from .layered import _certificate, _sized_params, build_layered
 from .stochastic import (
@@ -268,6 +268,14 @@ ROW_COLUMNS = [c for c in _ID_COLUMNS if c != "restarts"] + [
 ]
 
 
+def _ratio_mode(ratio: str, n: int) -> str:
+    """The ratio a two_opt row on n points reports: "exact", "bound" or
+    "none"; "auto" is exact up to _RATIO_EXACT_MAX_N points."""
+    if ratio == "auto":
+        return "exact" if n <= _RATIO_EXACT_MAX_N else "bound"
+    return ratio
+
+
 def _two_opt_row(cfg: SweepConfig, conf: dict, config_index: int, seed_index: int) -> dict:
     seed = task_seed(cfg.base_seed, config_index, seed_index)
     n, sigma, metric = conf["n"], conf["sigma"], conf["metric"]
@@ -287,9 +295,7 @@ def _two_opt_row(cfg: SweepConfig, conf: dict, config_index: int, seed_index: in
         "final_length": rec.final_length, "converged": rec.converged,
         "min_gain_observed": rec.min_gain_observed,
     }
-    mode = cfg.ratio
-    if mode == "auto":
-        mode = "exact" if n <= _RATIO_EXACT_MAX_N else "bound"
+    mode = _ratio_mode(cfg.ratio, n)
     if mode != "none":
         opt = held_karp(inst, metric).length if mode == "exact" else _upper_bound(inst.points, metric)
         if (ratio := _ratio(rec.final_length, opt)) is not None:
@@ -343,7 +349,11 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> list[dict]:
     hands them the rows largest first (two_opt rows by n; lb rows in
     canonical order), so the longest rows do not start last.  Each worker
     freezes the heap it forked with (``gc.freeze``) before its first row;
-    the caller's gc state is left as it was.
+    the caller's gc state is left as it was.  When the rows can build
+    KD-trees (lb rows certify; a two_opt row whose ratio is the MST bound
+    calls ``mst_length``, which builds one where ``exact._builds_tree``
+    says so), ``scipy.spatial`` is imported before the fork, so the workers
+    inherit it instead of each importing it.
 
     The first task to raise stops the sweep: queued tasks are cancelled and
     the exception propagates once the running ones have finished.
@@ -360,14 +370,20 @@ def run_sweep(cfg: SweepConfig, threads: int = 1) -> list[dict]:
     if cfg.experiment == "two_opt":
         ids = sorted(ids, key=lambda i: confs[i // cfg.seeds]["n"], reverse=True)
 
-    # fork, not spawn: a fresh interpreter that imports twoptlab takes about
-    # 0.6 s, as long as a whole small sweep; the workers start all at once,
-    # hence the cap on their count above.  Frozen, the inherited heap is
-    # never walked by the worker's collections: its first full collection
-    # took 28-30 ms unfrozen, writing to the inherited pages, and 0.4 ms
-    # frozen.  Freezing in the caller instead would need an unfreeze, which
-    # thaws the caller's own frozen objects too.
+    # fork, not spawn: a fresh interpreter would import twoptlab again
+    # (about 0.10 s, and scipy.spatial's 0.23 s for rows that build trees)
+    # before its first row; the workers start all at once, hence the cap on
+    # their count above.  Frozen, the inherited heap is never walked by the
+    # worker's collections: its first full collection took 28-30 ms
+    # unfrozen, writing to the inherited pages, and 0.4 ms frozen.  Freezing
+    # in the caller instead would need an unfreeze, which thaws the caller's
+    # own frozen objects too.
     import multiprocessing
+
+    if cfg.experiment == "lb" or any(
+        _ratio_mode(cfg.ratio, c["n"]) == "bound" and _builds_tree(cfg.dim, c["n"]) for c in confs
+    ):
+        import scipy.spatial  # noqa: F401  -- once here, not once per worker
 
     pool = concurrent.futures.ProcessPoolExecutor(
         max_workers=workers, mp_context=multiprocessing.get_context("fork"),

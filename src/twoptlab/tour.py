@@ -77,6 +77,9 @@ pick and the random draw are the kernel's, bit for bit.  When the joins
 count more than ``_PRUNE_SHARE`` of the pairs (a random tour, say) the
 blocked kernel is faster and runs instead; the count overcounts the ball
 points, which only sends more tours to the kernel, with the same pick.
+The trees are ``scipy.spatial``'s, imported by the first ball query, not
+by ``import twoptlab``, which loads no scipy module (HiGHS is imported the
+same way).
 
 ``run_two_opt`` iterates pick+apply until no improving pair remains: it
 has converged when every row summary is known and none holds a gain > eps
@@ -108,7 +111,6 @@ import math
 from typing import IO, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geometry import Metric, _gain, _pairwise, _per_axis, as_points, vec_dist
 
@@ -612,6 +614,8 @@ def _ball_keys(p: np.ndarray, pn: np.ndarray, el: np.ndarray, metric) -> np.ndar
     centre's own radius.  The pairs j < i + 2 and the closed tour's
     (0, n-1) are dropped.
     """
+    from scipy.spatial import cKDTree
+
     n = el.size
     m = Metric.parse(metric)
     tau = np.spacing(2 * el.max())

@@ -721,11 +721,23 @@ print(twoptlab.count_disjoint_linked_pairs(rec.changes, method="greedy")[0],
     assert proc.stdout.split() == ["False", "9", "10"]
 
 
-def test_import_leaves_scipy_integrate_unloaded(tmp_path):
-    # scipy.integrate also loads scipy.optimize, which every process importing
-    # twoptlab would pay for; only the chi and integral suites need it
-    probe = "import sys, twoptlab; print('scipy.integrate' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          cwd=tmp_path, env=_checkout_env(), timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+_SCIPY_MODULES = "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+
+
+def test_import_and_gen_leave_scipy_unloaded(tmp_path):
+    # scipy.spatial is imported by the first KD-tree and scipy.integrate by
+    # the chi and integral suites, so neither a process that only imports
+    # twoptlab nor a gen call (as `python -m twoptlab.cli`) pays for scipy
+    gen = ["twoptlab.cli", "gen", "--n", "30", "--sigma", "0.1", "-o", str(tmp_path / "inst.json")]
+    probes = [
+        f"import sys, twoptlab; {_SCIPY_MODULES}",
+        f"import runpy, sys\nsys.argv = {gen!r}\ntry:\n"
+        f"    runpy.run_module('twoptlab.cli', run_name='__main__', alter_sys=True)\n"
+        f"except SystemExit as stop:\n    assert stop.code == 0, stop.code\n{_SCIPY_MODULES}",
+    ]
+    for probe in probes:
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              cwd=tmp_path, env=_checkout_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]", probe
+    assert json.loads((tmp_path / "inst.json").read_text())["dim"] == 2

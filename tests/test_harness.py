@@ -2,15 +2,19 @@
 
 import concurrent.futures
 import gc
+import json
 import math
 import os
 import re
+import subprocess
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
 
+from test_cli import _checkout_env
 from twoptlab import harness
 from twoptlab.harness import (
     ROW_COLUMNS,
@@ -301,6 +305,45 @@ def test_run_sweep_workers_freeze_their_heap_and_leave_the_callers(monkeypatch, 
         if caller != "default":
             gc.unfreeze()
             gc.enable()
+
+
+_SPATIAL_PROBE = """
+import json, os, sys
+from twoptlab import harness
+
+def row(cfg, confs, row_id):
+    loaded = "scipy.spatial" in sys.modules
+    real(cfg, confs, row_id)
+    return {"pid": os.getpid(), "at_start": loaded, "at_end": "scipy.spatial" in sys.modules}
+
+real, harness._sweep_row = harness._sweep_row, row
+harness._usable_cpus = lambda: 2
+rows = harness.run_sweep(harness.SweepConfig(**json.loads(sys.argv[1])), threads=2)
+print(json.dumps({"pid": os.getpid(), "rows": rows, "parent": "scipy.spatial" in sys.modules}))
+"""
+
+
+@pytest.mark.parametrize("config, trees", [
+    ({"experiment": "lb", "p": 3, "t": 1, "sigma": [1e-4], "seeds": 2}, True),
+    ({"n": [20], "sigma": [0.1], "ratio": "bound", "seeds": 2}, True),
+    ({"n": [8, 12], "sigma": [0.1], "ratio": "exact", "seeds": 2}, False),
+    ({"n": [16], "sigma": [0.1], "ratio": "bound", "seeds": 2}, False),
+    ({"n": [20], "dim": 1, "sigma": [0.1], "ratio": "bound", "seeds": 2}, False),
+], ids=["lb", "ratio bound", "ratio exact", "ratio bound, n = 16", "ratio bound, 1-d"])
+def test_run_sweep_imports_kd_trees_once_before_the_fork(tmp_path, config, trees):
+    # import twoptlab loads no scipy.spatial; a sweep whose rows build
+    # KD-trees (the certifier, mst_length in 2-d above 16 points) imports
+    # it in the parent, so every worker starts with it, and any other sweep,
+    # a bound sweep whose MST is dense Prim's among them, leaves the workers
+    # and the parent without it
+    proc = subprocess.run([sys.executable, "-c", _SPATIAL_PROBE, json.dumps(config)],
+                          capture_output=True, text=True, cwd=tmp_path, env=_checkout_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert len(out["rows"]) == 2 * len(config.get("n", [0]))
+    assert all(r["pid"] != out["pid"] for r in out["rows"])
+    assert all(r["at_start"] == r["at_end"] == trees for r in out["rows"])
+    assert out["parent"] == trees
 
 
 def test_replay_row_matches_sweep():

@@ -738,30 +738,24 @@ def candidate_mst(monkeypatch):
 
 @pytest.mark.parametrize("metric", METRICS)
 def test_candidate_mst_keys_are_dense_prims(candidate_mst, metric):
-    # where the candidates certify, their keys are dense Prim's, in join
-    # order and bit for bit, and mst_length runs no dense Prim; every 2-d
-    # input here certifies, while a 1-d one may fall back
-    for dim, layout, n, seed in itertools.product((1, 2), ("uniform", "grid"), (17, 40, 129, 700), range(2)):
-        if dim == 1 and layout == "grid":
-            continue
-        name = f"{dim}-d {layout} n={n} seed={seed}"
-        pts = make_origins(layout, n, dim, seed)
+    # every 2-d input here certifies: its keys are dense Prim's, in join
+    # order and bit for bit, and mst_length runs no dense Prim
+    for layout, n, seed in itertools.product(("uniform", "grid"), (17, 40, 129, 700), range(2)):
+        name = f"{layout} n={n} seed={seed}"
+        pts = make_origins(layout, n, 2, seed)
         if layout == "grid":
             pts = perturb(pts, 1e-3, seed).points
         keys = twoptlab.exact._candidate_keys(pts, Metric.parse(metric))
-        assert keys is not None or dim == 1, name
+        assert keys is not None, name
         candidate_mst["dense"].clear()
         assert mst_length(pts, metric) == scan_oracle.mst_length(pts, metric), name
-        if keys is not None:
-            assert candidate_mst["dense"] == [], name
-            assert keys == _nn_walk(pts, metric, tree=True)[1], name
-        else:
-            assert candidate_mst["dense"] == [n], name
+        assert candidate_mst["dense"] == [], name
+        assert keys == _nn_walk(pts, metric, tree=True)[1], name
 
 
 def _fallback_corpus(metric):
     """(name, points, replayed): inputs the candidates cannot certify under
-    the metric, and whether their spanning tree is replayed before the
+    the metric or are not tried on, and whether their spanning tree is replayed before the
     certificate fails."""
     rng = np.random.default_rng(7)
     pts = rng.random((200, 2))
@@ -770,6 +764,12 @@ def _fallback_corpus(metric):
     yield "lattice, sigma = 0", make_origins("grid", 400, 2, 0), False
     yield "d = 3", rng.random((200, 3)), False
     yield "n = 16", rng.random((16, 2)), False
+    # 1-d inputs go straight to dense Prim, jittered grids that would
+    # certify among them
+    for n in (17, 700):
+        yield f"1-d uniform n={n}", make_origins("uniform", n, 1, 3), False
+    yield "1-d grid n=700", perturb(make_origins("grid", 700, 1, 3), 1e-3, 3).points, False
+    yield "1-d lattice, sigma = 0", make_origins("grid", 200, 1, 3), False
     # 20 points each, so no candidate crosses between the clusters
     cluster = 1e-2 * rng.random((20, 2))
     yield "two far clusters", np.vstack((cluster, cluster + 10.0)), False
